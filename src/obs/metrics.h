@@ -48,9 +48,10 @@ class Gauge {
 /// microseconds but bucketed on integer nanoseconds: bucket 0 holds exact
 /// zeros and bucket b >= 1 holds nanos in [2^(b-1), 2^b - 1], so the whole
 /// uint64 range fits in 64 buckets and memory stays constant no matter how
-/// many samples arrive (the property that lets it replace the unbounded
-/// serve::LatencyRecorder under production load). Record is wait-free: a
-/// handful of relaxed atomic ops, no mutex, no allocation.
+/// many samples arrive, which is what lets it record under production
+/// load (exact percentiles come from serve::Percentile over a finite
+/// sample set, the oracle these estimates are tested against). Record is
+/// wait-free: a handful of relaxed atomic ops, no mutex, no allocation.
 class Histogram {
  public:
   static constexpr size_t kNumBuckets = 64;

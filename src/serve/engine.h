@@ -177,10 +177,11 @@ class ServingEngine {
   Clock& clock() const { return *clock_; }
 
   /// Bounded end-to-end latency histogram of requests served by rung `i`
-  /// (registry name "serve.rung<i>.<name>.total_us"). Replaces the
-  /// unbounded LatencyRecorder sample store: memory stays constant no
-  /// matter how many requests flow, which is what lets the engine run under
-  /// production load with recording always on. Shared through the global
+  /// (registry name "serve.rung<i>.<name>.total_us"). Bounded: memory
+  /// stays constant no matter how many requests flow, which is what lets
+  /// the engine run under production load with recording always on.
+  /// Drivers needing exact percentiles keep their own response samples
+  /// (see replay::SummarizeResponses). Shared through the global
   /// registry, so engines built over a same-named ladder accumulate into
   /// the same histogram — and a hot swap whose rung names match keeps
   /// recording into the same series.

@@ -4,45 +4,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/check.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
-
 namespace dnlr::serve {
 
-/// Thread-safe per-rung latency sample store for finite, offline
-/// measurement runs where exact percentiles matter (tests, calibration).
-/// Unbounded: memory grows with every Record. The serving engine itself
-/// records into bounded obs::Histogram instances instead (see
-/// ServingEngine::rung_latency), whose footprint is constant under
-/// production load; this class remains the exact-percentile oracle the
-/// histogram quantiles are validated against.
-class LatencyRecorder {
- public:
-  explicit LatencyRecorder(size_t num_rungs) : samples_(num_rungs) {}
-
-  LatencyRecorder(const LatencyRecorder&) = delete;
-  LatencyRecorder& operator=(const LatencyRecorder&) = delete;
-
-  void Record(size_t rung, double micros) DNLR_EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    DNLR_DCHECK_LT(rung, samples_.size());
-    samples_[rung].push_back(micros);
-  }
-
-  /// Copies of every rung's samples, in record order.
-  std::vector<std::vector<double>> Samples() const DNLR_EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return samples_;
-  }
-
- private:
-  mutable common::Mutex mu_;
-  std::vector<std::vector<double>> samples_ DNLR_GUARDED_BY(mu_);
-};
-
 /// Nearest-rank percentile (p in [0, 100]) of `samples`; 0 when empty.
-/// Takes the vector by value because it sorts its copy.
+/// Takes the vector by value because it sorts its copy. The exact oracle
+/// for finite runs: the serve drivers report it, and the obs tests check
+/// obs::Histogram's bounded log2 quantile estimates against it.
 double Percentile(std::vector<double> samples, double p);
 
 }  // namespace dnlr::serve

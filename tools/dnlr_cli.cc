@@ -1,57 +1,34 @@
 // dnlr command-line tool: train, distill, prune, score and evaluate ranking
-// models on LETOR-format data without writing any C++.
+// models on LETOR-format data, pack them into model bundles, and load-test
+// the serving engine, without writing any C++. `dnlr_cli` with no
+// arguments prints every subcommand and its flags (Usage below); README.md
+// walks through each one.
 //
-// Subcommands:
-//   gen           generate a synthetic LETOR file (MSN30K- or Istella-like)
-//   train-forest  train a LambdaMART ensemble (optionally tuned)
-//   distill       distill (and optionally first-layer-prune) a student MLP
-//   score         score a LETOR file with a saved model
-//   evaluate      NDCG@10 / NDCG / MAP of a saved model on a LETOR file
-//   predict-time  estimate an architecture's scoring time analytically
-//   validate      run the deep invariant validators on a model / data file
-//   serve-bench   load-test the deadline-aware scoring service and emit a
-//                 latency-percentile / rung-distribution JSON report; with
-//                 --reload-every N, hot-swap a model bundle into the engine
-//                 under load instead; with --shards N, run the sharded
-//                 multi-tenant isolation soak (abusive tenant + one faulted
-//                 shard) and emit out/serve_shard_ci.json with SLO gates
-//   soak-bench    minutes-scale traffic replay against the serving engine:
-//                 Zipfian query popularity, mixed candidate-set sizes,
-//                 diurnal + burst load shaping, a hot score cache, periodic
-//                 golden-gated hot reloads (with poisoned-bundle rejection
-//                 probes) and a mid-soak fault episode; streams a LETOR file
-//                 through the serve path and gates on obs-derived SLOs
-//                 (per-rung p99, shed rate, cache hit rate, swap
-//                 losslessness, cache-on/off bitwise parity)
-//   bundle        pack / unpack / verify the single-file model bundle
-//                 (teacher + student + normalizer + serve rungs, versioned
-//                 and CRC-checksummed)
-//   bench-scaling measure docs/s and GEMM GFLOP/s of the dense, hybrid and
-//                 tree rungs across thread counts and emit a scaling JSON
-//                 report (the multi-core counterpart of the paper's
-//                 single-core efficiency tables)
-//   stats         exercise the instrumented scoring stack and export the
-//                 metrics registry as JSON; also the CI entry point for the
-//                 instrumentation guarantees (--check: bitwise-identical
-//                 scores with spans on/off; --max-overhead-pct: GEMM span
-//                 overhead gate; --in: validate an exported report)
-//
-// Run `dnlr_cli <subcommand>` with no further arguments for usage.
+// Flags are strict "--name value" pairs: a malformed number, a flag with
+// no value, or a flag the subcommand does not read exits 2 before any work
+// starts. The serve modes (serve-bench, serve-bench --reload-every N,
+// serve-bench --shards N, soak-bench) are thin configurations of the one
+// traffic driver in src/replay/driver.h, and each gated mode exits 1 when
+// a gate in its table fails.
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <future>
+#include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -59,6 +36,7 @@
 
 #include "bundle/bundle.h"
 #include "bundle/mapped_bundle.h"
+#include "common/check.h"
 #include "common/file_util.h"
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -87,11 +65,11 @@
 #include "predict/network_time.h"
 #include "predict/sparse_predictor.h"
 #include "prune/magnitude.h"
+#include "replay/driver.h"
 #include "replay/workload.h"
 #include "replay/zipf.h"
 #include "serve/engine.h"
 #include "serve/fault_injection.h"
-#include "serve/latency.h"
 #include "serve/router.h"
 #include "serve/score_cache.h"
 #include "serve/scorer.h"
@@ -100,67 +78,109 @@
 namespace dnlr::cli {
 namespace {
 
-/// Minimal --flag value parser: every option is "--name value".
+using replay::EnsureParentDir;
+using replay::FormatFixed;
+using replay::WriteReport;
+
+/// Prints a usage error and exits 2. Bad flags fail before any work starts.
+[[noreturn]] __attribute__((format(printf, 1, 2))) void UsageError(
+    const char* format, ...) {
+  va_list args;
+  va_start(args, format);
+  std::vfprintf(stderr, format, args);
+  va_end(args);
+  std::fputc('\n', stderr);
+  std::exit(2);
+}
+
+/// strtol (`integer`) or strtod over the whole of `text`, or exit 2:
+/// "0,95" or "1e999" must never reach a gate bound as 0 or infinity.
+double ParseNumber(const std::string& text, const std::string& flag,
+                   bool integer = false) {
+  errno = 0;
+  char* end = nullptr;
+  const double value =
+      integer ? static_cast<double>(std::strtol(text.c_str(), &end, 10))
+              : std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(value) ||
+      (integer && (value < std::numeric_limits<int>::min() ||
+                   value > std::numeric_limits<int>::max()))) {
+    UsageError("%s: '%s' is not %s", flag.c_str(), text.c_str(),
+               integer ? "an integer" : "a number");
+  }
+  return value;
+}
+
+/// Strict "--name value" parser. A flag without a value, a malformed
+/// number, and (after RejectUnread) a flag the command never read all exit
+/// 2, so a misspelled or garbled gate bound cannot pass silently.
 class Args {
  public:
   Args(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
+    for (int i = first; i < argc; i += 2) {
       if (std::strncmp(argv[i], "--", 2) != 0) {
-        std::fprintf(stderr, "expected --flag, got '%s'\n", argv[i]);
-        std::exit(2);
+        UsageError("expected --flag, got '%s'", argv[i]);
+      }
+      if (i + 1 == argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+        UsageError("%s needs a value", argv[i]);
       }
       values_[argv[i] + 2] = argv[i + 1];
     }
   }
 
   std::string Get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it != values_.end() ? it->second : fallback;
+    const std::string* value = Find(key);
+    return value != nullptr ? *value : fallback;
   }
   std::string Require(const std::string& key) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) {
-      std::fprintf(stderr, "missing required --%s\n", key.c_str());
-      std::exit(2);
-    }
-    return it->second;
+    const std::string* value = Find(key);
+    if (value == nullptr) UsageError("missing required --%s", key.c_str());
+    return *value;
   }
   double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it != values_.end() ? std::atof(it->second.c_str()) : fallback;
+    const std::string* value = Find(key);
+    return value != nullptr ? ParseNumber(*value, "--" + key) : fallback;
   }
   int GetInt(const std::string& key, int fallback) const {
-    const auto it = values_.find(key);
-    return it != values_.end() ? std::atoi(it->second.c_str()) : fallback;
+    const std::string* value = Find(key);
+    return value != nullptr
+               ? static_cast<int>(ParseNumber(*value, "--" + key, true))
+               : fallback;
   }
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
+  /// GetInt for a count: exits 2 below 1 (zero queries or requests would
+  /// crash the request loop).
+  int GetCount(const std::string& key, int fallback) const {
+    const int value = GetInt(key, fallback);
+    if (value < 1) UsageError("--%s must be >= 1, got %d", key.c_str(), value);
+    return value;
+  }
+  bool Has(const std::string& key) const { return Find(key) != nullptr; }
+
+  /// Call once the command has read its flags: exits 2 on any it did not.
+  void RejectUnread() const {
+    for (const auto& entry : values_) {
+      if (read_.count(entry.first) == 0) {
+        UsageError("unknown flag --%s", entry.first.c_str());
+      }
+    }
+  }
 
  private:
+  const std::string* Find(const std::string& key) const {
+    read_.insert(key);
+    const auto it = values_.find(key);
+    return it != values_.end() ? &it->second : nullptr;
+  }
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
-/// Fixed-precision double for JSON output (never scientific notation).
-std::string FormatFixed(double value, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
-  return buf;
-}
-
-/// Creates the directory a generated artifact lands in. Bench output lives
-/// under out/ (gitignored) rather than next to the bench sources, so a
-/// fresh checkout needs the directory created on first run.
-bool EnsureParentDir(const std::string& path) {
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  if (parent.empty()) return true;
-  std::error_code ec;
-  std::filesystem::create_directories(parent, ec);
-  if (ec) {
-    std::fprintf(stderr, "cannot create directory %s: %s\n",
-                 parent.string().c_str(), ec.message().c_str());
-    return false;
-  }
-  return true;
+/// Prints a failed status and returns the command's exit code for it.
+int Fail(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return 1;
 }
 
 /// Parses a comma-separated thread-count list like "1,2,4". Exits on junk.
@@ -169,7 +189,7 @@ std::vector<uint32_t> ParseThreadList(const std::string& csv) {
   std::stringstream stream(csv);
   std::string item;
   while (std::getline(stream, item, ',')) {
-    const int value = std::atoi(item.c_str());
+    const auto value = static_cast<int>(ParseNumber(item, "--threads", true));
     if (value < 1) {
       std::fprintf(stderr, "bad thread count '%s' in --threads\n",
                    item.c_str());
@@ -202,8 +222,9 @@ int CmdGen(const Args& args) {
   config.num_queries = args.GetInt("queries", 300);
   if (args.Has("features")) config.num_features = args.GetInt("features", 136);
   config.seed = args.GetInt("seed", 42);
-  const data::Dataset dataset = data::GenerateSynthetic(config);
   const std::string out = args.Require("out");
+  args.RejectUnread();
+  const data::Dataset dataset = data::GenerateSynthetic(config);
   const Status status = data::WriteLetorFile(dataset, out);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
@@ -216,21 +237,32 @@ int CmdGen(const Args& args) {
 }
 
 int CmdTrainForest(const Args& args) {
-  const data::Dataset train = LoadLetorOrDie(args.Require("train"));
-  data::Dataset valid;
+  const std::string train_path = args.Require("train");
   const bool has_valid = args.Has("valid");
-  if (has_valid) valid = LoadLetorOrDie(args.Get("valid", ""));
+  const std::string valid_path = args.Get("valid", "");
+  const bool tune = args.Has("tune");
+  gbdt::TunerConfig tuner;
+  tuner.trials = args.GetInt("tune", 8);
+  gbdt::BoosterConfig config;
+  config.num_trees = args.GetInt("trees", 300);
+  config.num_leaves = args.GetInt("leaves", 64);
+  config.learning_rate = args.GetDouble("lr", 0.06);
+  config.min_docs_per_leaf = args.GetInt("min-docs", 40);
+  config.lambda_l2 = args.GetDouble("l2", 5.0);
+  const std::string out = args.Require("out");
+  args.RejectUnread();
+  if (tune && !has_valid) {
+    std::fprintf(stderr, "--tune requires --valid\n");
+    return 2;
+  }
+  const data::Dataset train = LoadLetorOrDie(train_path);
+  data::Dataset valid;
+  if (has_valid) valid = LoadLetorOrDie(valid_path);
 
   gbdt::Ensemble model;
-  if (args.Has("tune")) {
-    if (!has_valid) {
-      std::fprintf(stderr, "--tune requires --valid\n");
-      return 2;
-    }
-    gbdt::TunerConfig tuner;
-    tuner.trials = args.GetInt("tune", 8);
-    tuner.num_trees = args.GetInt("trees", 300);
-    tuner.num_leaves = args.GetInt("leaves", 64);
+  if (tune) {
+    tuner.num_trees = config.num_trees;
+    tuner.num_leaves = config.num_leaves;
     tuner.verbose = true;
     const gbdt::TunerResult result =
         gbdt::TuneLambdaMart(train, valid, tuner);
@@ -241,12 +273,6 @@ int CmdTrainForest(const Args& args) {
     gbdt::Booster booster(result.best().config);
     model = booster.TrainLambdaMart(train, &valid);
   } else {
-    gbdt::BoosterConfig config;
-    config.num_trees = args.GetInt("trees", 300);
-    config.num_leaves = args.GetInt("leaves", 64);
-    config.learning_rate = args.GetDouble("lr", 0.06);
-    config.min_docs_per_leaf = args.GetInt("min-docs", 40);
-    config.lambda_l2 = args.GetDouble("l2", 5.0);
     if (has_valid) {
       config.early_stopping_rounds = 5;
       config.eval_period = 25;
@@ -255,7 +281,6 @@ int CmdTrainForest(const Args& args) {
     model = booster.TrainLambdaMart(train, has_valid ? &valid : nullptr);
   }
 
-  const std::string out = args.Require("out");
   const Status status = model.SaveToFile(out);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
@@ -267,19 +292,10 @@ int CmdTrainForest(const Args& args) {
 }
 
 int CmdDistill(const Args& args) {
-  const data::Dataset train = LoadLetorOrDie(args.Require("train"));
-  auto teacher = gbdt::Ensemble::LoadFromFile(args.Require("teacher"));
-  if (!teacher.ok()) {
-    std::fprintf(stderr, "%s\n", teacher.status().ToString().c_str());
-    return 1;
-  }
-  auto arch =
-      predict::Architecture::Parse(args.Require("arch"), train.num_features());
-  if (!arch.ok()) {
-    std::fprintf(stderr, "%s\n", arch.status().ToString().c_str());
-    return 1;
-  }
-
+  const std::string train_path = args.Require("train");
+  const std::string teacher_path = args.Require("teacher");
+  const std::string arch_spec = args.Require("arch");
+  const std::string out = args.Require("out");
   core::PipelineConfig config;
   config.distill.epochs = args.GetInt("epochs", 40);
   config.distill.batch_size = args.GetInt("batch", 256);
@@ -288,6 +304,18 @@ int CmdDistill(const Args& args) {
       static_cast<uint32_t>(config.distill.epochs * 7 / 10),
       static_cast<uint32_t>(config.distill.epochs * 9 / 10)};
   config.prune.target_sparsity = args.GetDouble("prune", 0.0);
+  args.RejectUnread();
+  const data::Dataset train = LoadLetorOrDie(train_path);
+  auto teacher = gbdt::Ensemble::LoadFromFile(teacher_path);
+  if (!teacher.ok()) {
+    std::fprintf(stderr, "%s\n", teacher.status().ToString().c_str());
+    return 1;
+  }
+  auto arch = predict::Architecture::Parse(arch_spec, train.num_features());
+  if (!arch.ok()) {
+    std::fprintf(stderr, "%s\n", arch.status().ToString().c_str());
+    return 1;
+  }
   config.prune.train = config.distill;
   config.prune.train.gamma_epochs.clear();
   core::Pipeline pipeline(config);
@@ -297,7 +325,6 @@ int CmdDistill(const Args& args) {
           ? pipeline.DistillAndPrune(*arch, train, *teacher)
           : pipeline.DistillDense(*arch, train, *teacher);
 
-  const std::string out = args.Require("out");
   const Status status = model.mlp.SaveToFile(out);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
@@ -385,15 +412,18 @@ std::unique_ptr<forest::DocumentScorer> MakeScorer(
 }
 
 int CmdScore(const Args& args) {
-  const data::Dataset dataset = LoadLetorOrDie(args.Require("data"));
+  const std::string data_path = args.Require("data");
+  const std::string model_path = args.Require("model");
+  const std::string engine = args.Get("engine", "auto");
+  const std::string out = args.Get("out", "-");
+  const bool time = args.Has("time");
+  args.RejectUnread();
+  const data::Dataset dataset = LoadLetorOrDie(data_path);
   data::ZNormalizer normalizer;
-  const auto scorer = MakeScorer(args.Require("model"),
-                                 args.Get("engine", "auto"), dataset,
-                                 &normalizer);
+  const auto scorer = MakeScorer(model_path, engine, dataset, &normalizer);
   if (scorer == nullptr) return 1;
 
   const std::vector<float> scores = scorer->ScoreDataset(dataset);
-  const std::string out = args.Get("out", "-");
   if (out == "-") {
     for (const float s : scores) std::printf("%.6f\n", s);
   } else {
@@ -406,7 +436,7 @@ int CmdScore(const Args& args) {
     std::printf("wrote %zu scores to %s with %s\n", scores.size(), out.c_str(),
                 std::string(scorer->name()).c_str());
   }
-  if (args.Has("time")) {
+  if (time) {
     std::printf("scoring time: %.3f us/doc (%s)\n",
                 core::MeasureScorerMicrosPerDoc(*scorer, dataset),
                 std::string(scorer->name()).c_str());
@@ -415,11 +445,13 @@ int CmdScore(const Args& args) {
 }
 
 int CmdEvaluate(const Args& args) {
-  const data::Dataset dataset = LoadLetorOrDie(args.Require("data"));
+  const std::string data_path = args.Require("data");
+  const std::string model_path = args.Require("model");
+  const std::string engine = args.Get("engine", "auto");
+  args.RejectUnread();
+  const data::Dataset dataset = LoadLetorOrDie(data_path);
   data::ZNormalizer normalizer;
-  const auto scorer = MakeScorer(args.Require("model"),
-                                 args.Get("engine", "auto"), dataset,
-                                 &normalizer);
+  const auto scorer = MakeScorer(model_path, engine, dataset, &normalizer);
   if (scorer == nullptr) return 1;
   const std::vector<float> scores = scorer->ScoreDataset(dataset);
   std::printf("engine   %s\n", std::string(scorer->name()).c_str());
@@ -433,13 +465,15 @@ int CmdEvaluate(const Args& args) {
 
 int CmdPredictTime(const Args& args) {
   const uint32_t features = args.GetInt("features", 136);
-  auto arch = predict::Architecture::Parse(args.Require("arch"), features);
+  const std::string arch_spec = args.Require("arch");
+  const uint32_t batch = args.GetInt("batch", 64);
+  const double sparsity = args.GetDouble("sparsity", 0.95);
+  args.RejectUnread();
+  auto arch = predict::Architecture::Parse(arch_spec, features);
   if (!arch.ok()) {
     std::fprintf(stderr, "%s\n", arch.status().ToString().c_str());
     return 1;
   }
-  const uint32_t batch = args.GetInt("batch", 64);
-  const double sparsity = args.GetDouble("sparsity", 0.95);
 
   std::fprintf(stderr, "calibrating predictors (seconds)...\n");
   predict::DenseCalibrationConfig dense_config;
@@ -462,253 +496,106 @@ int CmdPredictTime(const Args& args) {
   return 0;
 }
 
-/// Hot-reload load test (serve-bench --reload-every N): packs a freshly
-/// trained teacher + random student into a model bundle, serves it through
-/// a Servable-backed engine, and every N requests re-loads the bundle from
-/// disk and atomically SwapModels it in while traffic keeps flowing. Every
-/// swap loads the same bundle, so the golden-score validation gate demands
-/// bitwise-identical scores across generations; the JSON report carries the
-/// swap counters, the model-version span observed on responses, and the
-/// failed-request count (which must be zero: a hot swap may never drop
-/// traffic).
-///
-/// With --binary 1 the reloads come from a v2 binary bundle (mmap load
-/// path) while the golden scores are captured from the text-loaded initial
-/// generation — the gate then directly proves text→binary conversion and
-/// the zero-copy load path are bitwise score-lossless under live traffic.
+/// Reads the knobs every serve mode shares over the mode's `defaults`.
+replay::ServeConfig ParseServeConfig(const Args& args,
+                                     replay::ServeConfig config) {
+  config.queries = args.GetCount("queries", config.queries);
+  config.features = args.GetCount("features", config.features);
+  config.workers = args.GetCount("workers", config.workers);
+  config.deadline_us = args.GetInt("deadline-us", config.deadline_us);
+  config.seed = args.GetInt("seed", config.seed);
+  config.queue_capacity = args.GetInt("queue", config.queue_capacity);
+  return config;
+}
+
+/// The engine counters every serve report carries, as `"key": n` fields.
+std::string EngineCountersJson(const serve::ServeCountersSnapshot& c) {
+  std::ostringstream json;
+  json << "\"ok\": " << c.ok << ", \"failed\": " << c.failed
+       << ", \"shed_queue_full\": " << c.shed_queue_full
+       << ", \"shed_deadline\": " << c.shed_deadline
+       << ", \"deadline_exceeded\": " << c.deadline_exceeded
+       << ", \"degraded\": " << c.degraded << ", \"retries\": " << c.retries
+       << ", \"transient_faults\": " << c.transient_faults
+       << ", \"timeouts\": " << c.timeouts
+       << ", \"non_finite_batches\": " << c.non_finite_batches
+       << ", \"circuit_opens\": " << c.circuit_opens
+       << ", \"circuit_closes\": " << c.circuit_closes;
+  return json.str();
+}
+
+/// Hot-reload load test (serve-bench --reload-every N), gated by
+/// replay::ReloadGates: round-robin traffic on the fixture bundle, reloaded
+/// through the golden gate every N requests. Every swap loads the same
+/// bundle, so scores must stay bitwise identical and no request may fail.
+/// With --binary 1 the reloads come from the binary twin (mmap load path)
+/// while the golden scores stay text-loaded.
 int CmdServeBenchReload(const Args& args) {
-  const auto features = static_cast<uint32_t>(args.GetInt("features", 64));
-  const auto queries = static_cast<uint32_t>(args.GetInt("queries", 60));
-  const int requests = args.GetInt("requests", 200);
-  const int reload_every = args.GetInt("reload-every", 25);
-  const auto deadline_us =
-      static_cast<uint64_t>(args.GetInt("deadline-us", 20000));
-  const auto workers = static_cast<uint32_t>(args.GetInt("workers", 4));
-  const auto seed = static_cast<uint64_t>(args.GetInt("seed", 42));
+  const replay::ServeConfig config = ParseServeConfig(args, {});
+  const int requests = args.GetCount("requests", 200);
+  const auto reload_every =
+      static_cast<uint64_t>(args.GetInt("reload-every", 25));
+  const replay::FixtureConfig fc{
+      .trees = args.GetInt("trees", 20),
+      .bundle_path = args.Get("bundle", "out/serve_reload.bundle"),
+      .binary_twin = args.GetInt("binary", 0) != 0};
   const std::string out = args.Get("out", "out/serve_reload.json");
-  const std::string bundle_path =
-      args.Get("bundle", "out/serve_reload.bundle");
-  const bool binary = args.GetInt("binary", 0) != 0;
+  args.RejectUnread();
+  auto created = replay::BundleFixture::Create(config, fc);
+  if (!created.ok()) return Fail(created.status());
+  const replay::BundleFixture& fixture = **created;
 
-  data::SyntheticConfig config = data::SyntheticConfig::MsnLike(1.0);
-  config.num_queries = queries;
-  config.num_features = features;
-  config.seed = seed;
-  const data::Dataset dataset = data::GenerateSynthetic(config);
-  std::fprintf(stderr, "corpus: %u docs / %u queries / %u features\n",
-               dataset.num_docs(), dataset.num_queries(),
-               dataset.num_features());
-
-  gbdt::BoosterConfig bc;
-  bc.num_trees = static_cast<uint32_t>(args.GetInt("trees", 20));
-  bc.num_leaves = 16;
-  std::fprintf(stderr, "training %u-tree teacher...\n", bc.num_trees);
-  gbdt::Booster booster(bc);
-  const gbdt::Ensemble teacher = booster.TrainLambdaMart(dataset, nullptr);
-  const predict::Architecture student_arch(features, {64, 32});
-  const nn::Mlp student(student_arch, seed + 1);
-  data::ZNormalizer normalizer;
-  normalizer.Fit(dataset);
-
-  // Measured rung costs, clamped non-increasing as the ladder (and the
-  // bundle's rung grammar) require.
-  serve::ServableOptions sopt;
-  sopt.num_features = features;
-  gbdt::Ensemble subset(teacher.base_score());
-  const uint32_t subset_trees =
-      std::max(1u, teacher.num_trees() / sopt.subset_tree_divisor);
-  for (uint32_t t = 0; t < subset_trees; ++t) subset.AddTree(teacher.tree(t));
-  const forest::QuickScorer subset_qs(subset, features);
-  const nn::NeuralScorer student_scorer(student, &normalizer);
-  const double student_cost =
-      core::MeasureScorerMicrosPerDocSynthetic(student_scorer, 2048, features);
-  const double subset_cost =
-      core::MeasureScorerMicrosPerDocSynthetic(subset_qs, 2048, features);
-  double costs[3] = {
-      student_cost,
-      serve::PredictCascadeMicrosPerDoc(subset_cost, student_cost,
-                                        sopt.cascade_rescore_fraction),
-      subset_cost};
-  for (int i = 1; i < 3; ++i) costs[i] = std::min(costs[i], costs[i - 1]);
-
-  bundle::RungConfig rungs;
-  rungs.rungs = {{"student", "student", costs[0]},
-                 {"cascade", "cascade", costs[1]},
-                 {"forest-subset", "teacher-subset", costs[2]}};
-  bundle::ModelBundle pack;
-  Status status = pack.SetTeacher(teacher);
-  if (status.ok()) status = pack.SetStudent(student);
-  if (status.ok()) status = pack.SetNormalizer(normalizer);
-  if (status.ok()) status = pack.SetRungs(rungs);
-  if (status.ok() && !EnsureParentDir(bundle_path)) return 1;
-  if (status.ok()) status = pack.SaveToFile(bundle_path);
-  // The binary twin the reloads come from; the initial generation (and the
-  // golden scores) still come from the text bundle, so the swap gate
-  // compares binary-loaded scores against text-loaded ones bitwise.
-  std::string reload_path = bundle_path;
-  if (binary) {
-    reload_path = bundle_path + ".bin";
-    if (status.ok()) {
-      status = pack.SaveToFile(reload_path, bundle::BundleFormat::kBinary);
-    }
-  }
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "packed bundle %s%s\n", bundle_path.c_str(),
-               binary ? " (+ binary twin)" : "");
-
-  auto servable = serve::Servable::LoadFromFile(bundle_path, sopt);
-  if (!servable.ok()) {
-    std::fprintf(stderr, "%s\n", servable.status().ToString().c_str());
-    return 1;
-  }
-  std::shared_ptr<const serve::Servable> initial(std::move(servable).value());
-  auto ladder = serve::Servable::LadderHandle(initial);
-  for (size_t i = 0; i < ladder->num_rungs(); ++i) {
-    std::fprintf(stderr, "rung %zu %-14s %8.3f us/doc\n", i,
-                 ladder->rung(i).name.c_str(),
-                 ladder->rung(i).predicted_us_per_doc);
-  }
-
-  // The swap gate's golden probe: scores captured on the first generation;
-  // every candidate must reproduce them bitwise before it may serve.
-  const float* probe_docs = dataset.Row(dataset.QueryBegin(0));
-  const uint32_t probe_count = std::min(dataset.QuerySize(0), 64u);
-  auto golden =
-      serve::CaptureGoldenScores(*ladder, probe_docs, probe_count, features);
-  if (!golden.ok()) {
-    std::fprintf(stderr, "%s\n", golden.status().ToString().c_str());
-    return 1;
-  }
-
-  serve::ServingConfig sc;
-  sc.num_workers = workers;
-  sc.queue_capacity = static_cast<uint32_t>(args.GetInt("queue", 128));
-  serve::ServingEngine engine(std::move(ladder), sc);
-  const serve::ServingEngine::SwapValidator gate =
-      [&](const serve::DegradationLadder& candidate) {
-        return serve::RunGoldenSmoke(candidate, probe_docs, probe_count,
-                                     features, &*golden);
-      };
-
-  std::fprintf(stderr, "serving %d requests, reloading every %d...\n",
-               requests, reload_every);
-  std::vector<std::future<serve::ServeResponse>> inflight;
-  std::vector<serve::ServeResponse> responses;
-  responses.reserve(static_cast<size_t>(requests));
-  const size_t window = static_cast<size_t>(workers) * 4;
+  serve::ServingEngine engine(fixture.initial_ladder(), config.Engine());
+  std::fprintf(stderr, "serving %d requests, reloading every %llu...\n",
+               requests, static_cast<unsigned long long>(reload_every));
   uint64_t reload_failures = 0;
-  for (int r = 0; r < requests; ++r) {
-    const uint32_t q = static_cast<uint32_t>(r) % dataset.num_queries();
-    serve::ServeRequest request;
-    request.docs = dataset.Row(dataset.QueryBegin(q));
-    request.count = dataset.QuerySize(q);
-    request.stride = dataset.num_features();
-    request.deadline =
-        serve::Deadline::AfterMicros(engine.clock(), deadline_us);
-    inflight.push_back(engine.Submit(request));
-    if (inflight.size() >= window) {
-      responses.push_back(inflight.front().get());
-      inflight.erase(inflight.begin());
+  const auto reload = [&](uint64_t submitted) {
+    if (submitted % reload_every != 0) return;
+    const Status status = fixture.Reload(engine, fixture.reload_path());
+    if (!status.ok()) {
+      std::fprintf(stderr, "reload: %s\n", status.ToString().c_str());
+      ++reload_failures;
     }
-    if ((r + 1) % reload_every == 0) {
-      auto candidate = serve::Servable::LoadFromFile(reload_path, sopt);
-      if (!candidate.ok()) {
-        std::fprintf(stderr, "reload: %s\n",
-                     candidate.status().ToString().c_str());
-        ++reload_failures;
-        continue;
-      }
-      const Status swapped = engine.SwapModel(
-          serve::Servable::LadderHandle(std::move(candidate).value()), gate);
-      if (!swapped.ok()) {
-        std::fprintf(stderr, "swap: %s\n", swapped.ToString().c_str());
-        ++reload_failures;
-      }
-    }
-  }
-  for (auto& future : inflight) responses.push_back(future.get());
+  };
+  replay::RoundRobinSource source(fixture.dataset(),
+                                  static_cast<uint64_t>(requests));
+  const replay::ResponseSummary summary = replay::SummarizeResponses(
+      replay::DriveTraffic(engine, source, config, reload),
+      engine.ladder().num_rungs(), config.deadline_us);
   engine.Stop();
 
   const serve::ServeCountersSnapshot counters = engine.counters().Snapshot();
-  uint64_t failed_requests = 0;
-  uint64_t min_version = ~0ull;
-  uint64_t max_version = 0;
-  std::vector<double> ok_latencies;
-  for (const auto& resp : responses) {
-    if (!resp.status.ok()) {
-      ++failed_requests;
-      continue;
-    }
-    ok_latencies.push_back(static_cast<double>(resp.total_micros));
-    min_version = std::min(min_version, resp.model_version);
-    max_version = std::max(max_version, resp.model_version);
-  }
-
+  const replay::GateVerdict verdict = replay::EvaluateGates(
+      replay::ReloadGates(counters, reload_failures, summary.failed));
   std::ostringstream json;
-  json << "{\n";
-  json << "  \"benchmark\": \"serve-bench-reload\",\n";
+  json << "{\n  \"benchmark\": \"serve-bench-reload\",\n";
   json << "  \"config\": {\"requests\": " << requests
        << ", \"reload_every\": " << reload_every
-       << ", \"deadline_us\": " << deadline_us
-       << ", \"workers\": " << workers << ", \"seed\": " << seed
-       << ", \"bundle\": \"" << bundle_path << "\", \"binary\": "
-       << (binary ? 1 : 0) << "},\n";
+       << ", \"deadline_us\": " << config.deadline_us
+       << ", \"workers\": " << config.workers << ", \"seed\": " << config.seed
+       << ", \"bundle\": \"" << fixture.bundle_path()
+       << "\", \"binary\": " << (fc.binary_twin ? 1 : 0) << "},\n";
   json << "  \"swaps\": {\"attempted\": " << counters.swaps_attempted
        << ", \"completed\": " << counters.swaps_completed
        << ", \"rejected\": " << counters.swaps_rejected
        << ", \"reload_failures\": " << reload_failures
        << ", \"final_model_version\": " << engine.model_version()
-       << ", \"min_response_version\": "
-       << (max_version == 0 ? 0 : min_version)
-       << ", \"max_response_version\": " << max_version << "},\n";
-  json << "  \"overall\": {\"ok\": " << counters.ok
-       << ", \"failed_requests\": " << failed_requests
-       << ", \"shed_queue_full\": " << counters.shed_queue_full
-       << ", \"shed_deadline\": " << counters.shed_deadline
-       << ", \"deadline_exceeded\": " << counters.deadline_exceeded
-       << ", \"degraded\": " << counters.degraded
-       << ", \"p50_us\": " << FormatFixed(serve::Percentile(ok_latencies, 50), 1)
-       << ", \"p99_us\": " << FormatFixed(serve::Percentile(ok_latencies, 99), 1)
-       << "}\n";
-  json << "}\n";
-
-  if (!EnsureParentDir(out)) return 1;
-  std::ofstream file(out);
-  file << json.str();
-  if (!file) {
-    std::fprintf(stderr, "failed to write %s\n", out.c_str());
-    return 1;
-  }
-  std::printf("%s", json.str().c_str());
-  std::printf("wrote %s\n", out.c_str());
-
-  // Gates: swaps must actually happen, none may be rejected (it is the
-  // same bundle every time), and no request may fail during the swaps.
-  if (counters.swaps_completed == 0 || counters.swaps_rejected != 0 ||
-      reload_failures != 0 || failed_requests != 0) {
-    std::fprintf(stderr,
-                 "FAIL: completed=%llu rejected=%llu reload_failures=%llu "
-                 "failed_requests=%llu\n",
-                 static_cast<unsigned long long>(counters.swaps_completed),
-                 static_cast<unsigned long long>(counters.swaps_rejected),
-                 static_cast<unsigned long long>(reload_failures),
-                 static_cast<unsigned long long>(failed_requests));
-    return 1;
-  }
-  std::printf("reload gate ok: %llu swaps, %zu responses, 0 failures\n",
-              static_cast<unsigned long long>(counters.swaps_completed),
-              responses.size());
-  return 0;
+       << ", \"min_response_version\": " << summary.min_version
+       << ", \"max_response_version\": " << summary.max_version << "},\n";
+  json << "  \"overall\": {" << EngineCountersJson(counters)
+       << ", \"failed_requests\": " << summary.failed
+       << ", \"p50_us\": " << FormatFixed(summary.overall.p50_us, 1)
+       << ", \"p99_us\": " << FormatFixed(summary.overall.p99_us, 1) << "},\n";
+  json << "  \"gates\": " << verdict.json << "\n}\n";
+  return replay::FinishGatedReport(out, json.str(), verdict, "reload");
 }
 
-/// One soak phase: every tenant replays Zipf-skewed traffic from its own
-/// thread until the phase deadline; the abusive tenant (if any) ignores
-/// pacing and hammers as fast as the router answers it — subject only to a
-/// tiny bounded backoff when the router sheds it, so "abusive" means
-/// saturating its quota, not busy-burning a CPU core generating rejections.
+/// One soak phase of the sharded mode's traffic source: every tenant
+/// replays Zipf-skewed traffic from its own thread until the phase
+/// deadline; the abusive tenant (if any) ignores pacing and hammers as fast
+/// as the router answers it — subject only to a tiny bounded backoff when
+/// the router sheds it, so "abusive" means saturating its quota, not
+/// busy-burning a CPU core generating rejections.
 void RunTenantTraffic(serve::ShardedRouter& router, const data::Dataset& data,
                       const replay::ZipfSampler& zipf, uint64_t tenants,
                       int64_t abusive_tenant, uint64_t pace_us,
@@ -716,7 +603,6 @@ void RunTenantTraffic(serve::ShardedRouter& router, const data::Dataset& data,
                       uint64_t seed) {
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
-  threads.reserve(tenants);
   for (uint64_t tenant = 0; tenant < tenants; ++tenant) {
     threads.emplace_back([&, tenant] {
       dnlr::Rng rng(seed ^ (tenant * 0x9E3779B97F4A7C15ull));
@@ -761,15 +647,12 @@ void RunTenantTraffic(serve::ShardedRouter& router, const data::Dataset& data,
 /// over N fault-injected shards, M tenant threads replaying Zipfian traffic,
 /// one abusive tenant hammering its quota, and a correlated-burst outage on
 /// one shard mid-soak (shipped and later rolled back via SwapModelOnShard).
-/// Emits out/serve_shard_ci.json and exits 1 when any isolation gate fails:
-///   - the abusive tenant is quota-rejected at its configured rate and
-///     admitted no faster than rate x duration + burst (with slack);
-///   - every other tenant's p99 stays within --p99-ratio of its no-abuse
-///     baseline (or under the absolute --p99-floor-us) and its error rate
-///     stays under --max-error-rate;
-///   - the faulted shard quarantines and is probe-readmitted at least once;
-///   - no model swap fails.
+/// Gated by replay::ShardedGates; a tenant's p99 budget is --p99-ratio x its
+/// no-abuse baseline (at least --p99-floor-us), the abusive tenant's
+/// admission budget --admit-slack x (rate x duration + burst).
 int CmdServeBenchSharded(const Args& args) {
+  const replay::ServeConfig config = ParseServeConfig(
+      args, {.workers = 2, .deadline_us = 50'000, .queue_capacity = 64});
   const auto shards = static_cast<size_t>(args.GetInt("shards", 4));
   const auto tenants = static_cast<uint64_t>(args.GetInt("tenants", 8));
   const int64_t abusive_tenant = args.GetInt("abusive-tenant", 0);
@@ -778,8 +661,6 @@ int CmdServeBenchSharded(const Args& args) {
       args.GetInt("baseline-ms", static_cast<int>(std::max<uint64_t>(
                                      500, soak_ms / 4))));
   const auto pace_us = static_cast<uint64_t>(args.GetInt("pace-us", 1000));
-  const auto deadline_us =
-      static_cast<uint64_t>(args.GetInt("deadline-us", 50'000));
   const double quota_rate = args.GetDouble("quota-rate", 500.0);
   const double quota_burst = args.GetDouble("quota-burst", 50.0);
   const double fault_rate = args.GetDouble("fault-rate", 0.2);
@@ -790,80 +671,70 @@ int CmdServeBenchSharded(const Args& args) {
   const double burst_trigger = args.GetDouble("burst-trigger", 0.05);
   const auto burst_len =
       static_cast<uint32_t>(args.GetInt("burst-len", 300));
-  const auto features = static_cast<uint32_t>(args.GetInt("features", 64));
-  const auto queries = static_cast<uint32_t>(args.GetInt("queries", 60));
-  const auto workers = static_cast<uint32_t>(args.GetInt("workers", 2));
-  const auto seed = static_cast<uint64_t>(args.GetInt("seed", 42));
   const double p99_ratio = args.GetDouble("p99-ratio", 1.5);
   const double p99_floor_us = args.GetDouble("p99-floor-us", 5000.0);
-  const double max_error_rate = args.GetDouble("max-error-rate", 0.01);
+  const double zipf_exponent = args.GetDouble("zipf-exponent", 1.1);
+  replay::ShardedOutcome outcome;
+  outcome.max_error_rate = args.GetDouble("max-error-rate", 0.01);
   const double admit_slack = args.GetDouble("admit-slack", 2.0);
   const std::string out = args.Get("out", "out/serve_shard_ci.json");
+  args.RejectUnread();
   if (shards < 2 || tenants < 2) {
-    std::fprintf(stderr, "--shards and --tenants must both be >= 2\n");
-    return 2;
+    UsageError("--shards and --tenants must both be >= 2");
   }
+  const auto features = static_cast<uint32_t>(config.features);
+  const uint64_t seed = config.seed;
 
   // Synthetic corpus + per-shard model generations: each shard serves its
   // own small MLP (a distinct generation), all sharing one normalizer and a
   // tiny shared floor rung.
-  data::SyntheticConfig config = data::SyntheticConfig::MsnLike(1.0);
-  config.num_queries = queries;
-  config.num_features = features;
-  config.seed = seed;
-  const data::Dataset dataset = data::GenerateSynthetic(config);
+  const data::Dataset dataset = replay::SyntheticCorpus(
+      static_cast<uint32_t>(config.queries), features, seed);
   data::ZNormalizer normalizer;
   normalizer.Fit(dataset);
-  const replay::ZipfSampler zipf(dataset.num_queries(),
-                                 args.GetDouble("zipf-exponent", 1.1));
+  const replay::ZipfSampler zipf(dataset.num_queries(), zipf_exponent);
 
   const predict::Architecture strong_arch(features, {64, 32});
-  const predict::Architecture floor_arch(features, {16});
-  std::vector<std::unique_ptr<nn::Mlp>> strong_mlps;
-  std::vector<std::unique_ptr<nn::NeuralScorer>> strong_scorers;
+  std::deque<nn::Mlp> strong_mlps;  // deques: scorers borrow stable elements
+  std::deque<nn::NeuralScorer> strong_scorers;
   for (size_t s = 0; s < shards; ++s) {
-    strong_mlps.push_back(std::make_unique<nn::Mlp>(strong_arch, seed + s));
-    strong_scorers.push_back(
-        std::make_unique<nn::NeuralScorer>(*strong_mlps[s], &normalizer));
+    strong_scorers.emplace_back(strong_mlps.emplace_back(strong_arch, seed + s),
+                                &normalizer);
   }
-  const nn::Mlp floor_mlp(floor_arch, seed + 1000);
+  const nn::Mlp floor_mlp(predict::Architecture(features, {16}), seed + 1000);
   const nn::NeuralScorer floor_scorer(floor_mlp, &normalizer);
 
-  // Nominal rung costs: with 50 ms budgets rung choice is never the
-  // bottleneck here, and fixed costs keep the soak's setup instant.
-  const double strong_cost = 4.0;
-  const double floor_cost = 0.5;
-
   // Every rung of every shard goes through a FaultInjectingScorer. The
-  // clean generation's injector is a pass-through (all probabilities 0);
+  // clean generation's injectors are pass-throughs (all probabilities 0);
   // the faulted generation adds i.i.d. transient faults on the strong rung
   // plus a correlated burst schedule SHARED by both rungs — one outage
   // domain, so a triggered burst takes the whole shard down (what the
-  // quarantine lifecycle exists for).
+  // quarantine lifecycle exists for). Nominal rung costs: with 50 ms
+  // budgets rung choice is never the bottleneck, and fixed costs keep the
+  // setup instant.
   std::vector<std::unique_ptr<serve::FaultInjectingScorer>> injectors;
-  auto make_clean_ladder = [&](size_t s) {
-    serve::FaultInjectionConfig quiet;
-    quiet.seed = seed + s;
-    injectors.push_back(std::make_unique<serve::FaultInjectingScorer>(
-        strong_scorers[s].get(), quiet));
+  const auto make_ladder = [&](const forest::DocumentScorer* strong,
+                               const serve::FaultInjectionConfig& strong_faults,
+                               const serve::FaultInjectionConfig& floor_faults,
+                               std::shared_ptr<serve::FaultBurstState> burst) {
     auto ladder = std::make_shared<serve::DegradationLadder>();
-    Status status = ladder->AddRung("dense-nn", injectors.back().get(),
-                                    strong_cost);
-    if (status.ok()) {
-      injectors.push_back(std::make_unique<serve::FaultInjectingScorer>(
-          &floor_scorer, quiet));
-      status = ladder->AddRung("tiny-nn", injectors.back().get(), floor_cost);
-    }
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      std::exit(1);
-    }
+    injectors.push_back(std::make_unique<serve::FaultInjectingScorer>(
+        strong, strong_faults, burst));
+    const Status strong_rung =
+        ladder->AddRung("dense-nn", injectors.back().get(), 4.0);
+    injectors.push_back(std::make_unique<serve::FaultInjectingScorer>(
+        &floor_scorer, floor_faults, burst));
+    const Status floor_rung =
+        ladder->AddRung("tiny-nn", injectors.back().get(), 0.5);
+    DNLR_CHECK(strong_rung.ok() && floor_rung.ok());
     return ladder;
   };
-
   std::vector<std::shared_ptr<const serve::DegradationLadder>> clean_ladders;
   for (size_t s = 0; s < shards; ++s) {
-    clean_ladders.push_back(make_clean_ladder(s));
+    serve::FaultInjectionConfig quiet;
+    quiet.seed = seed + s;
+    clean_ladders.push_back(
+        make_ladder(&strong_scorers[s], quiet, quiet, nullptr));
   }
 
   serve::RouterConfig rc;
@@ -872,9 +743,7 @@ int CmdServeBenchSharded(const Args& args) {
   rc.drain_micros = 5'000;
   rc.quarantine_micros = 10'000;
   rc.probe_successes_to_readmit = 3;
-  serve::ServingConfig sc;
-  sc.num_workers = workers;
-  sc.queue_capacity = static_cast<uint32_t>(args.GetInt("queue", 64));
+  const serve::ServingConfig sc = config.Engine();
 
   // ---- Phase 1: no-abuse baseline. A separate router instance (its own
   // registry namespace) with clean shards and fully paced traffic gives
@@ -887,7 +756,7 @@ int CmdServeBenchSharded(const Args& args) {
   {
     serve::ShardedRouter baseline(clean_ladders, sc, rc);
     RunTenantTraffic(baseline, dataset, zipf, tenants, /*abusive_tenant=*/-1,
-                     pace_us, deadline_us, baseline_ms, seed);
+                     pace_us, config.deadline_us, baseline_ms, seed);
     baseline.Stop();
     for (uint64_t t = 0; t < tenants; ++t) {
       baseline_p99[t] = baseline.TenantSloSnapshot(t).p99_us;
@@ -901,39 +770,17 @@ int CmdServeBenchSharded(const Args& args) {
   serve::ShardedRouter router(clean_ladders, sc, rc);
   router.SetTenantQuota(static_cast<uint64_t>(abusive_tenant),
                         serve::TenantQuota{quota_rate, quota_burst});
-  uint64_t victim_tenant = 0;
-  for (uint64_t t = 0; t < tenants; ++t) {
-    if (static_cast<int64_t>(t) != abusive_tenant) {
-      victim_tenant = t;
-      break;
-    }
-  }
+  const uint64_t victim_tenant = abusive_tenant == 0 ? 1 : 0;
   const uint32_t faulted = router.PrimaryShardFor(victim_tenant);
-
-  serve::FaultInjectionConfig faulty_config;
-  faulty_config.transient_fault_probability = fault_rate;
-  faulty_config.seed = seed + 7777;
-  auto burst = std::make_shared<serve::FaultBurstState>(
-      burst_trigger, burst_len, seed + 8888);
-  auto faulty_ladder = std::make_shared<serve::DegradationLadder>();
-  {
-    injectors.push_back(std::make_unique<serve::FaultInjectingScorer>(
-        strong_scorers[faulted].get(), faulty_config, burst));
-    Status status = faulty_ladder->AddRung("dense-nn", injectors.back().get(),
-                                           strong_cost);
-    if (status.ok()) {
-      serve::FaultInjectionConfig floor_faults;  // bursts only on the floor
-      floor_faults.seed = seed + 7778;
-      injectors.push_back(std::make_unique<serve::FaultInjectingScorer>(
-          &floor_scorer, floor_faults, burst));
-      status = faulty_ladder->AddRung("tiny-nn", injectors.back().get(),
-                                      floor_cost);
-    }
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
+  serve::FaultInjectionConfig strong_faults;
+  strong_faults.transient_fault_probability = fault_rate;
+  strong_faults.seed = seed + 7777;
+  serve::FaultInjectionConfig floor_faults;  // bursts only on the floor
+  floor_faults.seed = seed + 7778;
+  const auto faulty_ladder = make_ladder(
+      &strong_scorers[faulted], strong_faults, floor_faults,
+      std::make_shared<serve::FaultBurstState>(burst_trigger, burst_len,
+                                               seed + 8888));
 
   std::fprintf(stderr,
                "soak: %llu ms, abusive tenant %lld (quota %.0f/s burst %.0f),"
@@ -952,72 +799,37 @@ int CmdServeBenchSharded(const Args& args) {
     }
   });
   RunTenantTraffic(router, dataset, zipf, tenants, abusive_tenant, pace_us,
-                   deadline_us, soak_ms, seed + 1);
+                   config.deadline_us, soak_ms, seed + 1);
   orchestrator.join();
   router.Stop();
 
   // ---- Gates and report.
-  const serve::RouterCountersSnapshot counters =
-      router.counters().Snapshot();
+  const serve::RouterCountersSnapshot counters = router.counters().Snapshot();
   const serve::TenantSlo abusive =
       router.TenantSloSnapshot(static_cast<uint64_t>(abusive_tenant));
-  const double soak_seconds = static_cast<double>(soak_ms) * 1e-3;
-  const double admit_budget =
-      admit_slack * (quota_rate * soak_seconds + quota_burst);
-  const bool gate_abusive_rejected = abusive.quota_rejected > 0;
-  const bool gate_abusive_bounded =
-      static_cast<double>(abusive.ok + abusive.errors) <= admit_budget;
-  const bool gate_quarantine = counters.quarantines >= 1;
-  const bool gate_readmit = counters.readmissions >= 1;
-  const bool gate_swaps = failed_swaps == 0;
-
-  bool gate_p99 = true;
-  bool gate_errors = true;
-  std::ostringstream tenants_json;
-  for (uint64_t t = 0; t < tenants; ++t) {
-    const serve::TenantSlo slo = router.TenantSloSnapshot(t);
-    const bool is_abusive = static_cast<int64_t>(t) == abusive_tenant;
-    const double p99_budget =
-        std::max(p99_ratio * baseline_p99[t], p99_floor_us);
-    const bool p99_ok = is_abusive || slo.p99_us <= p99_budget;
-    const bool errors_ok = is_abusive || slo.error_rate < max_error_rate;
-    gate_p99 &= p99_ok;
-    gate_errors &= errors_ok;
-    tenants_json << "    {\"tenant\": " << t << ", \"abusive\": "
-                 << (is_abusive ? "true" : "false")
-                 << ", \"requests\": " << slo.requests
-                 << ", \"ok\": " << slo.ok << ", \"errors\": " << slo.errors
-                 << ", \"quota_rejected\": " << slo.quota_rejected
-                 << ", \"error_rate\": " << FormatFixed(slo.error_rate, 4)
-                 << ", \"quota_reject_rate\": "
-                 << FormatFixed(slo.quota_reject_rate, 4)
-                 << ", \"p99_us\": " << FormatFixed(slo.p99_us, 1)
-                 << ", \"baseline_p99_us\": "
-                 << FormatFixed(baseline_p99[t], 1)
-                 << ", \"p99_budget_us\": " << FormatFixed(p99_budget, 1)
-                 << ", \"p99_ok\": " << (p99_ok ? "true" : "false")
-                 << ", \"errors_ok\": " << (errors_ok ? "true" : "false")
-                 << "}" << (t + 1 < tenants ? "," : "") << "\n";
-  }
-  const bool pass = gate_abusive_rejected && gate_abusive_bounded &&
-                    gate_quarantine && gate_readmit && gate_swaps &&
-                    gate_p99 && gate_errors;
-
+  outcome.admit_budget =
+      admit_slack *
+      (quota_rate * static_cast<double>(soak_ms) * 1e-3 + quota_burst);
+  outcome.abusive_quota_rejected = abusive.quota_rejected;
+  outcome.abusive_admitted = abusive.ok + abusive.errors;
+  outcome.quarantines = counters.quarantines;
+  outcome.readmissions = counters.readmissions;
+  outcome.failed_swaps = failed_swaps;
   std::ostringstream json;
-  json << "{\n";
-  json << "  \"benchmark\": \"serve-bench-sharded\",\n";
+  json << "{\n  \"benchmark\": \"serve-bench-sharded\",\n";
   json << "  \"config\": {\"shards\": " << shards
        << ", \"tenants\": " << tenants
        << ", \"abusive_tenant\": " << abusive_tenant
        << ", \"soak_ms\": " << soak_ms << ", \"baseline_ms\": " << baseline_ms
-       << ", \"deadline_us\": " << deadline_us
+       << ", \"deadline_us\": " << config.deadline_us
        << ", \"quota_rate\": " << FormatFixed(quota_rate, 1)
        << ", \"quota_burst\": " << FormatFixed(quota_burst, 1)
        << ", \"fault_rate\": " << FormatFixed(fault_rate, 3)
        << ", \"burst_trigger\": " << FormatFixed(burst_trigger, 4)
        << ", \"burst_len\": " << burst_len
        << ", \"faulted_shard\": " << faulted
-       << ", \"workers\": " << workers << ", \"seed\": " << seed << "},\n";
+       << ", \"workers\": " << config.workers << ", \"seed\": " << seed
+       << "},\n";
   json << "  \"shards\": [\n";
   for (size_t s = 0; s < shards; ++s) {
     const serve::ServeCountersSnapshot engine =
@@ -1026,8 +838,7 @@ int CmdServeBenchSharded(const Args& args) {
          << serve::ShardStateName(router.shard_state(s))
          << "\", \"model_version\": "
          << router.shard_engine(s).model_version()
-         << ", \"ok\": " << engine.ok << ", \"failed\": " << engine.failed
-         << ", \"shed_queue_full\": " << engine.shed_queue_full
+         << ", " << EngineCountersJson(engine)
          << ", \"shed_stopped\": " << engine.shed_stopped
          << ", \"swaps_attempted\": " << engine.swaps_attempted
          << ", \"swaps_completed\": " << engine.swaps_completed
@@ -1046,329 +857,167 @@ int CmdServeBenchSharded(const Args& args) {
        << ", \"quarantines\": " << counters.quarantines
        << ", \"probes\": " << counters.probes
        << ", \"readmissions\": " << counters.readmissions << "},\n";
-  json << "  \"tenants\": [\n" << tenants_json.str() << "  ],\n";
-  json << "  \"gates\": {\"abusive_quota_rejected\": "
-       << (gate_abusive_rejected ? "true" : "false")
-       << ", \"abusive_admission_bounded\": "
-       << (gate_abusive_bounded ? "true" : "false")
-       << ", \"admit_budget\": " << FormatFixed(admit_budget, 1)
-       << ", \"tenant_p99_within_budget\": " << (gate_p99 ? "true" : "false")
-       << ", \"tenant_errors_within_budget\": "
-       << (gate_errors ? "true" : "false")
-       << ", \"shard_quarantined\": " << (gate_quarantine ? "true" : "false")
-       << ", \"shard_readmitted\": " << (gate_readmit ? "true" : "false")
-       << ", \"zero_failed_swaps\": " << (gate_swaps ? "true" : "false")
-       << ", \"pass\": " << (pass ? "true" : "false") << "}\n";
-  json << "}\n";
-
-  if (!EnsureParentDir(out)) return 1;
-  std::ofstream file(out);
-  file << json.str();
-  if (!file) {
-    std::fprintf(stderr, "failed to write %s\n", out.c_str());
-    return 1;
+  json << "  \"tenants\": [\n";
+  for (uint64_t t = 0; t < tenants; ++t) {
+    const serve::TenantSlo slo = router.TenantSloSnapshot(t);
+    const replay::TenantOutcome tenant{
+        static_cast<int64_t>(t) == abusive_tenant, slo.p99_us,
+        std::max(p99_ratio * baseline_p99[t], p99_floor_us), slo.error_rate};
+    outcome.tenants.push_back(tenant);
+    const bool p99_ok = tenant.abusive || tenant.p99_us <= tenant.p99_budget_us;
+    const bool errors_ok =
+        tenant.abusive || tenant.error_rate <= outcome.max_error_rate;
+    json << "    {\"tenant\": " << t << ", \"abusive\": "
+         << (tenant.abusive ? "true" : "false")
+         << ", \"requests\": " << slo.requests << ", \"ok\": " << slo.ok
+         << ", \"errors\": " << slo.errors
+         << ", \"quota_rejected\": " << slo.quota_rejected
+         << ", \"error_rate\": " << FormatFixed(slo.error_rate, 4)
+         << ", \"quota_reject_rate\": " << FormatFixed(slo.quota_reject_rate, 4)
+         << ", \"p99_us\": " << FormatFixed(slo.p99_us, 1)
+         << ", \"baseline_p99_us\": " << FormatFixed(baseline_p99[t], 1)
+         << ", \"p99_budget_us\": " << FormatFixed(tenant.p99_budget_us, 1)
+         << ", \"p99_ok\": " << (p99_ok ? "true" : "false")
+         << ", \"errors_ok\": " << (errors_ok ? "true" : "false") << "}"
+         << (t + 1 < tenants ? "," : "") << "\n";
   }
-  std::printf("%s", json.str().c_str());
-  std::printf("wrote %s\n", out.c_str());
-  if (!pass) {
-    std::fprintf(stderr, "isolation SLO gate FAILED (see gates above)\n");
-    return 1;
-  }
-  std::fprintf(stderr, "isolation SLO gate passed\n");
-  return 0;
+  const replay::GateVerdict verdict =
+      replay::EvaluateGates(replay::ShardedGates(outcome));
+  // The admission budget rides in the gates block next to its verdict.
+  json << "  ],\n  \"gates\": {\"admit_budget\": "
+       << FormatFixed(outcome.admit_budget, 1) << ", "
+       << verdict.json.substr(1) << "\n}\n";
+  return replay::FinishGatedReport(out, json.str(), verdict, "isolation SLO");
 }
 
-/// Traffic-replay soak (`soak-bench`): a minutes-scale replay of realistic
-/// ranking traffic against one Servable-backed engine with a hot score
-/// cache, under periodic hot reloads and a mid-soak fault episode.
-///
-/// Phase A (replay soak): a replay::WorkloadGenerator paces arrivals on the
-/// engine's clock — Zipfian query popularity over the corpus, a weighted
-/// mix of candidate-set sizes (autocomplete through full-rank, built by
-/// tiling the query's rows), a diurnal sine on the arrival rate and random
-/// burst episodes. While traffic flows, an orchestrator thread hot-reloads
-/// the model bundle through the golden-score gate every --reload-every-ms,
-/// substituting a POISONED bundle (a student trained from a different seed)
-/// every --poison-every attempts — those must be rejected by the gate,
-/// which is the swap-losslessness proof. Between 45% and 60% of the soak
-/// the orchestrator swaps in (ungated) a ladder whose top rung injects
-/// transient faults, latency spikes and NaNs, then rolls back through the
-/// gate: the engine must keep answering via retries / degradation the
-/// whole time.
-///
-/// Phase B (LETOR streaming): the corpus is written as a LETOR file (or
-/// --letor supplies a real MSLR/Istella slice) and streamed back
-/// query-by-query through data::LetorQueryStream into the serve path —
-/// constant memory no matter the file size, zero failures required.
-///
-/// Phase C (cache parity): the cache is cleared, then every query is served
-/// twice on the cached engine and once on a cache-disabled twin loaded from
-/// the same bundle. The second serve must be a cache hit and all three
-/// score vectors must be bitwise identical — the cache may change latency,
-/// never scores.
-///
-/// Exits 1 unless every gate passes: cache hit rate on the Zipfian phase
-/// >= --min-hit-rate, shed rate <= --max-shed-rate, zero internal
-/// failures, per-rung p99 <= --max-p99-us, every good reload accepted and
-/// every poisoned one rejected, at least one cross-generation stale-entry
-/// reject (the invalidation evidence), and bitwise cache parity.
+/// Traffic-replay soak (`soak-bench`), gated by replay::SoakGates; the
+/// phases are described in DESIGN.md "Traffic replay & soak". Phase A
+/// replays paced Zipfian traffic (ReplaySource) against the fixture bundle
+/// on one engine with a hot score cache while an orchestrator hot-reloads
+/// it every --reload-every-ms (the poisoned twin every --poison-every
+/// attempts, which the golden gate must reject) and runs an ungated fault
+/// episode from 45% to 60% of the soak. Phase B streams a LETOR file
+/// through the serve path; phase C checks cache-on/off bitwise parity.
 int CmdSoakBench(const Args& args) {
+  const replay::ServeConfig config = ParseServeConfig(
+      args, {.queries = 48, .features = 32, .queue_capacity = 256});
   const auto duration_ms =
       static_cast<uint64_t>(args.GetInt("duration-ms", 10'000));
-  const auto features = static_cast<uint32_t>(args.GetInt("features", 32));
-  const auto queries = static_cast<uint32_t>(args.GetInt("queries", 48));
-  const auto workers = static_cast<uint32_t>(args.GetInt("workers", 4));
-  const auto deadline_us =
-      static_cast<uint64_t>(args.GetInt("deadline-us", 20'000));
   const auto reload_every_ms =
       static_cast<uint64_t>(args.GetInt("reload-every-ms", 700));
   const int poison_every = args.GetInt("poison-every", 2);
-  const auto seed = static_cast<uint64_t>(args.GetInt("seed", 42));
-  const double min_hit_rate = args.GetDouble("min-hit-rate", 0.5);
-  const double max_shed_rate = args.GetDouble("max-shed-rate", 0.05);
-  const double max_p99_us =
-      args.GetDouble("max-p99-us", static_cast<double>(deadline_us));
-  const std::string out = args.Get("out", "out/soak.json");
-  const std::string bundle_path = args.Get("bundle", "out/soak.bundle");
-  if (duration_ms < 1000) {
-    std::fprintf(stderr, "--duration-ms must be >= 1000\n");
-    return 2;
-  }
-
-  // ---- Setup: corpus, teacher, student, bundle (the CmdServeBenchReload
-  // recipe), plus a poisoned twin whose student comes from a different seed
-  // so its scores cannot match the golden probe.
-  data::SyntheticConfig config = data::SyntheticConfig::MsnLike(1.0);
-  config.num_queries = queries;
-  config.num_features = features;
-  config.seed = seed;
-  const data::Dataset dataset = data::GenerateSynthetic(config);
-  std::fprintf(stderr, "corpus: %u docs / %u queries / %u features\n",
-               dataset.num_docs(), dataset.num_queries(),
-               dataset.num_features());
-
-  gbdt::BoosterConfig bc;
-  bc.num_trees = static_cast<uint32_t>(args.GetInt("trees", 20));
-  bc.num_leaves = 16;
-  gbdt::Booster booster(bc);
-  const gbdt::Ensemble teacher = booster.TrainLambdaMart(dataset, nullptr);
-  const predict::Architecture student_arch(features, {64, 32});
-  const nn::Mlp student(student_arch, seed + 1);
-  const nn::Mlp poisoned_student(student_arch, seed + 999);
-  data::ZNormalizer normalizer;
-  normalizer.Fit(dataset);
-
-  serve::ServableOptions sopt;
-  sopt.num_features = features;
-  gbdt::Ensemble subset(teacher.base_score());
-  const uint32_t subset_trees =
-      std::max(1u, teacher.num_trees() / sopt.subset_tree_divisor);
-  for (uint32_t t = 0; t < subset_trees; ++t) subset.AddTree(teacher.tree(t));
-  const forest::QuickScorer subset_qs(subset, features);
-  const nn::NeuralScorer student_scorer(student, &normalizer);
-  const double student_cost =
-      core::MeasureScorerMicrosPerDocSynthetic(student_scorer, 2048, features);
-  const double subset_cost =
-      core::MeasureScorerMicrosPerDocSynthetic(subset_qs, 2048, features);
-  double costs[3] = {
-      student_cost,
-      serve::PredictCascadeMicrosPerDoc(subset_cost, student_cost,
-                                        sopt.cascade_rescore_fraction),
-      subset_cost};
-  for (int i = 1; i < 3; ++i) costs[i] = std::min(costs[i], costs[i - 1]);
-
-  bundle::RungConfig rungs;
-  rungs.rungs = {{"student", "student", costs[0]},
-                 {"cascade", "cascade", costs[1]},
-                 {"forest-subset", "teacher-subset", costs[2]}};
-  const std::string poison_path = bundle_path + ".poison";
-  {
-    bundle::ModelBundle pack;
-    Status status = pack.SetTeacher(teacher);
-    if (status.ok()) status = pack.SetStudent(student);
-    if (status.ok()) status = pack.SetNormalizer(normalizer);
-    if (status.ok()) status = pack.SetRungs(rungs);
-    if (status.ok() && !EnsureParentDir(bundle_path)) return 1;
-    if (status.ok()) status = pack.SaveToFile(bundle_path);
-    if (status.ok()) status = pack.SetStudent(poisoned_student);
-    if (status.ok()) status = pack.SaveToFile(poison_path);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-  std::fprintf(stderr, "packed %s (+ poisoned twin)\n", bundle_path.c_str());
-
-  auto servable = serve::Servable::LoadFromFile(bundle_path, sopt);
-  if (!servable.ok()) {
-    std::fprintf(stderr, "%s\n", servable.status().ToString().c_str());
-    return 1;
-  }
-  std::shared_ptr<const serve::Servable> initial(std::move(servable).value());
-  auto ladder = serve::Servable::LadderHandle(initial);
-  const size_t num_rungs = ladder->num_rungs();
-
-  const float* probe_docs = dataset.Row(dataset.QueryBegin(0));
-  const uint32_t probe_count = std::min(dataset.QuerySize(0), 64u);
-  auto golden =
-      serve::CaptureGoldenScores(*ladder, probe_docs, probe_count, features);
-  if (!golden.ok()) {
-    std::fprintf(stderr, "%s\n", golden.status().ToString().c_str());
-    return 1;
-  }
-
-  serve::ScoreCacheConfig cache_config;
-  cache_config.capacity =
-      static_cast<size_t>(args.GetInt("cache-capacity", 4096));
-  cache_config.num_shards =
-      static_cast<size_t>(args.GetInt("cache-shards", 8));
-  serve::ScoreCache cache(cache_config);
-
-  serve::ServingConfig sc;
-  sc.num_workers = workers;
-  sc.queue_capacity = static_cast<uint32_t>(args.GetInt("queue", 256));
-  sc.score_cache = &cache;
-  serve::ServingEngine engine(std::move(ladder), sc);
-  const serve::ServingEngine::SwapValidator gate =
-      [&](const serve::DegradationLadder& candidate) {
-        return serve::RunGoldenSmoke(candidate, probe_docs, probe_count,
-                                     features, &*golden);
-      };
-
-  // The fault episode's ladder: same rung count as the Servable's, top rung
-  // wrapped in an injector throwing transient faults, latency spikes and
-  // NaNs. Installed WITHOUT the gate (it could never pass), rolled back
-  // through it.
-  serve::FaultInjectionConfig fault_config;
-  fault_config.transient_fault_probability =
-      args.GetDouble("fault-rate", 0.3);
-  fault_config.latency_spike_probability = 0.2;
-  fault_config.spike_micros = 1000;
-  fault_config.non_finite_probability = 0.05;
-  fault_config.seed = seed + 777;
-  serve::FaultInjectingScorer faulty_top(&student_scorer, fault_config);
-  serve::InfallibleScorerAdapter clean_mid(&student_scorer);
-  serve::InfallibleScorerAdapter clean_floor(&subset_qs);
-  auto faulty_ladder = std::make_shared<serve::DegradationLadder>();
-  {
-    Status status =
-        faulty_ladder->AddRung("student-faulty", &faulty_top, costs[0]);
-    if (status.ok()) {
-      status = faulty_ladder->AddRung("student-clean", &clean_mid, costs[1]);
-    }
-    if (status.ok()) {
-      status =
-          faulty_ladder->AddRung("forest-subset", &clean_floor, costs[2]);
-    }
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-
-  // ---- Phase A: the replay soak. One driver thread paces arrivals from
-  // the workload model; the orchestrator reloads / poisons / faults
-  // concurrently.
+  replay::SoakOutcome outcome;
+  outcome.min_hit_rate = args.GetDouble("min-hit-rate", 0.5);
+  outcome.max_shed_rate = args.GetDouble("max-shed-rate", 0.05);
+  outcome.max_p99_us = args.GetDouble(
+      "max-p99-us", static_cast<double>(config.deadline_us));
+  const serve::ScoreCacheConfig cache_config{
+      .capacity = static_cast<size_t>(args.GetInt("cache-capacity", 4096)),
+      .num_shards = static_cast<size_t>(args.GetInt("cache-shards", 8))};
+  const serve::FaultInjectionConfig fault_config{
+      .transient_fault_probability = args.GetDouble("fault-rate", 0.3),
+      .latency_spike_probability = 0.2, .spike_micros = 1000,
+      .non_finite_probability = 0.05,
+      .seed = static_cast<uint64_t>(config.seed) + 777};
   replay::WorkloadConfig wc;
-  wc.num_queries = dataset.num_queries();
   wc.zipf_exponent = args.GetDouble("zipf-exponent", 1.1);
   wc.base_qps = args.GetDouble("qps", 600.0);
   wc.diurnal_amplitude = args.GetDouble("diurnal-amplitude", 0.5);
   // Default period: the soak covers 1.5 compressed "days", so both the
   // peak and the trough are exercised.
-  wc.diurnal_period_micros = static_cast<uint64_t>(args.GetInt(
-      "diurnal-period-ms",
-      static_cast<int>(duration_ms * 2 / 3))) * 1000;
+  wc.diurnal_period_micros =
+      static_cast<uint64_t>(args.GetInt(
+          "diurnal-period-ms", static_cast<int>(duration_ms * 2 / 3))) *
+      1000;
   wc.burst_probability = args.GetDouble("burst-probability", 0.003);
   wc.burst_multiplier = 3.0;
   wc.burst_duration_micros = 150'000;
-  wc.seed = seed;
-  replay::WorkloadGenerator workload(wc);
+  wc.seed = config.seed;
+  std::string letor_path = args.Get("letor", "");
+  const std::string out = args.Get("out", "out/soak.json");
+  const replay::FixtureConfig fc{
+      .trees = args.GetInt("trees", 20),
+      .bundle_path = args.Get("bundle", "out/soak.bundle"),
+      .poisoned_twin = true};
+  args.RejectUnread();
+  if (duration_ms < 1000) UsageError("--duration-ms must be >= 1000");
+  auto created = replay::BundleFixture::Create(config, fc);
+  if (!created.ok()) return Fail(created.status());
+  const replay::BundleFixture& fixture = **created;
+  const data::Dataset& dataset = fixture.dataset();
+  const auto features = static_cast<uint32_t>(config.features);
+  wc.num_queries = dataset.num_queries();
 
-  const uint64_t start_micros = engine.clock().NowMicros();
-  const uint64_t soak_end = start_micros + duration_ms * 1000;
+  serve::ScoreCache cache(cache_config);
+  serve::ServingConfig sc = config.Engine();
+  sc.score_cache = &cache;
+  serve::ServingEngine engine(fixture.initial_ladder(), sc);
+
+  // The fault episode's ladder: the bundle's rung count and costs, top rung
+  // wrapped in an injector. Installed WITHOUT the gate (it could never
+  // pass), rolled back through it.
+  serve::FaultInjectingScorer faulty_top(&fixture.student_scorer(),
+                                         fault_config);
+  serve::InfallibleScorerAdapter clean_mid(&fixture.student_scorer());
+  serve::InfallibleScorerAdapter clean_floor(&fixture.subset_scorer());
+  auto faulty_ladder = std::make_shared<serve::DegradationLadder>();
+  const Status top_rung = faulty_ladder->AddRung(
+      "student-faulty", &faulty_top, fixture.rung_cost(0));
+  const Status mid_rung = faulty_ladder->AddRung(
+      "student-clean", &clean_mid, fixture.rung_cost(1));
+  const Status floor_rung = faulty_ladder->AddRung(
+      "forest-subset", &clean_floor, fixture.rung_cost(2));
+  DNLR_CHECK(top_rung.ok() && mid_rung.ok() && floor_rung.ok());
+
+  // ---- Phase A: the replay soak. The driver paces arrivals from the
+  // workload model; the orchestrator reloads / poisons / faults
+  // concurrently.
+  replay::ReplaySource source(dataset, wc, engine.clock(), duration_ms * 1000);
+  const uint64_t start_micros = source.start_micros();
   std::atomic<bool> soak_done{false};
-
   uint64_t good_reloads = 0;
-  uint64_t good_reload_failures = 0;
-  uint64_t poison_attempts = 0;
-  uint64_t poison_rejected = 0;
-  uint64_t fault_swap_failures = 0;
   std::thread orchestrator([&] {
     const uint64_t fault_start = start_micros + duration_ms * 1000 * 45 / 100;
     const uint64_t fault_end = start_micros + duration_ms * 1000 * 60 / 100;
-    bool fault_active = false;
-    bool fault_done = false;
+    enum { kPending, kActive, kDone } fault = kPending;
     uint64_t reload_count = 0;
     uint64_t last_reload = start_micros;
-    const auto reload_from = [&](const std::string& path,
-                                 bool expect_reject) {
-      auto candidate = serve::Servable::LoadFromFile(path, sopt);
-      if (!candidate.ok()) {
-        if (!expect_reject) ++good_reload_failures;
-        return;
-      }
-      const Status swapped = engine.SwapModel(
-          serve::Servable::LadderHandle(std::move(candidate).value()), gate);
-      if (expect_reject) {
-        if (!swapped.ok()) ++poison_rejected;
-      } else if (swapped.ok()) {
+    const auto good_reload = [&] {
+      const Status swapped = fixture.Reload(engine, fixture.bundle_path());
+      if (swapped.ok()) {
         ++good_reloads;
       } else {
         std::fprintf(stderr, "swap: %s\n", swapped.ToString().c_str());
-        ++good_reload_failures;
+        ++outcome.good_reload_failures;
       }
     };
+    // Relaxed: a plain shutdown signal; the join orders everything else.
     while (!soak_done.load(std::memory_order_relaxed)) {
       const uint64_t now = engine.clock().NowMicros();
-      if (!fault_done && !fault_active && now >= fault_start &&
-          now < fault_end) {
+      if (fault == kPending && now >= fault_start && now < fault_end) {
         std::fprintf(stderr, "fault episode: injecting faulty ladder\n");
-        if (engine.SwapModel(faulty_ladder, nullptr).ok()) {
-          fault_active = true;
-        } else {
-          ++fault_swap_failures;
-          fault_done = true;
-        }
-      } else if (fault_active && now >= fault_end) {
+        fault = engine.SwapModel(faulty_ladder, nullptr).ok() ? kActive : kDone;
+        if (fault == kDone) ++outcome.fault_swap_failures;
+      } else if (fault == kActive && now >= fault_end) {
         std::fprintf(stderr, "fault episode: rolling back (golden-gated)\n");
-        reload_from(bundle_path, /*expect_reject=*/false);
-        fault_active = false;
-        fault_done = true;
+        good_reload();
+        fault = kDone;
         last_reload = now;
-      } else if (!fault_active &&
+      } else if (fault != kActive &&
                  now - last_reload >= reload_every_ms * 1000) {
         ++reload_count;
-        const bool poison =
-            poison_every > 0 &&
-            reload_count % static_cast<uint64_t>(poison_every) == 0;
-        if (poison) ++poison_attempts;
-        reload_from(poison ? poison_path : bundle_path, poison);
+        if (poison_every > 0 &&
+            reload_count % static_cast<uint64_t>(poison_every) == 0) {
+          ++outcome.poison_attempts;
+          if (fixture.PoisonRejected(engine)) ++outcome.poison_rejected;
+        } else {
+          good_reload();
+        }
         last_reload = now;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   });
-
-  // Candidate buffers, memoized per (query, size-class): the class size is
-  // met by tiling the query's real rows, so a repeat of the same arrival
-  // key is byte-identical — which is exactly what the cache fingerprints.
-  std::map<std::pair<uint32_t, uint32_t>, std::vector<float>> buffers;
-  const auto candidate_buffer =
-      [&](uint32_t q, uint32_t docs) -> const std::vector<float>& {
-    const auto key = std::make_pair(q, docs);
-    auto it = buffers.find(key);
-    if (it != buffers.end()) return it->second;
-    std::vector<float> buf(static_cast<size_t>(docs) * features);
-    const uint32_t base = dataset.QueryBegin(q);
-    const uint32_t size = dataset.QuerySize(q);
-    for (uint32_t i = 0; i < docs; ++i) {
-      const float* row = dataset.Row(base + (i % size));
-      std::copy(row, row + features,
-                buf.begin() + static_cast<size_t>(i) * features);
-    }
-    return buffers.emplace(key, std::move(buf)).first->second;
-  };
 
   std::fprintf(stderr,
                "soak: %llu ms @ ~%.0f qps, reload every %llu ms "
@@ -1376,116 +1025,64 @@ int CmdSoakBench(const Args& args) {
                static_cast<unsigned long long>(duration_ms), wc.base_qps,
                static_cast<unsigned long long>(reload_every_ms),
                poison_every);
-  std::vector<std::future<serve::ServeResponse>> inflight;
-  std::vector<serve::ServeResponse> responses;
-  const size_t window = static_cast<size_t>(workers) * 4;
-  uint64_t arrivals_in_burst = 0;
-  while (engine.clock().NowMicros() < soak_end) {
-    const replay::Arrival arrival = workload.Next();
-    replay::SleepUntilDue(engine.clock(), start_micros, arrival);
-    if (engine.clock().NowMicros() >= soak_end) break;
-    arrivals_in_burst += arrival.in_burst ? 1 : 0;
-    const std::vector<float>& docs =
-        candidate_buffer(arrival.query, arrival.candidate_docs);
-    serve::ServeRequest request;
-    request.docs = docs.data();
-    request.count = arrival.candidate_docs;
-    request.stride = features;
-    request.deadline =
-        serve::Deadline::AfterMicros(engine.clock(), deadline_us);
-    inflight.push_back(engine.Submit(request));
-    if (inflight.size() >= window) {
-      responses.push_back(inflight.front().get());
-      inflight.erase(inflight.begin());
-    }
-  }
-  for (auto& future : inflight) responses.push_back(future.get());
+  const replay::ResponseSummary summary = replay::SummarizeResponses(
+      replay::DriveTraffic(engine, source, config),
+      engine.ladder().num_rungs(), config.deadline_us);
   soak_done.store(true, std::memory_order_relaxed);
   orchestrator.join();
 
   // One final golden-gated reload so phases B and C run on a generation
   // proven equivalent to the initial one even if the soak ended mid-fault.
-  {
-    auto candidate = serve::Servable::LoadFromFile(bundle_path, sopt);
-    if (!candidate.ok() ||
-        !engine
-             .SwapModel(serve::Servable::LadderHandle(
-                            std::move(candidate).value()),
-                        gate)
-             .ok()) {
-      ++good_reload_failures;
-    }
+  if (!fixture.Reload(engine, fixture.bundle_path()).ok()) {
+    ++outcome.good_reload_failures;
   }
 
   // Snapshots for the gates, taken before the later phases add traffic.
   const serve::ScoreCacheStats soak_cache = cache.Stats();
   const serve::ServeCountersSnapshot counters = engine.counters().Snapshot();
-  const uint64_t submitted = responses.size();
-  uint64_t soak_cache_hits = 0;
-  std::vector<std::vector<double>> rung_latencies(num_rungs);
-  for (const auto& resp : responses) {
-    if (!resp.status.ok()) continue;
-    if (resp.cache_hit) {
-      ++soak_cache_hits;
-      continue;  // cache hits are not rung latencies
-    }
-    if (resp.rung >= 0 && static_cast<size_t>(resp.rung) < num_rungs) {
-      rung_latencies[static_cast<size_t>(resp.rung)].push_back(
-          static_cast<double>(resp.total_micros));
-    }
-  }
-  const double hit_rate =
-      soak_cache.hits + soak_cache.misses > 0
-          ? static_cast<double>(soak_cache.hits) /
-                static_cast<double>(soak_cache.hits + soak_cache.misses)
-          : 0.0;
+  const uint64_t lookups = soak_cache.hits + soak_cache.misses;
   const uint64_t shed = counters.shed_queue_full + counters.shed_deadline;
-  const double shed_rate =
-      submitted > 0
-          ? static_cast<double>(shed) / static_cast<double>(submitted)
-          : 0.0;
+  outcome.hit_rate =
+      lookups > 0 ? static_cast<double>(soak_cache.hits) / lookups : 0.0;
+  outcome.shed_rate = summary.submitted > 0
+                          ? static_cast<double>(shed) / summary.submitted
+                          : 0.0;
+  outcome.failed = counters.failed;
+  outcome.rungs = summary.rungs;
+  outcome.swaps_completed = counters.swaps_completed;
+  outcome.stale_rejects = soak_cache.stale_rejects;
 
   // ---- Phase B: stream a LETOR file through the serve path.
-  std::string letor_path = args.Get("letor", "");
   if (letor_path.empty()) {
     letor_path = "out/soak_corpus.letor";
     if (!EnsureParentDir(letor_path)) return 1;
     const Status written = data::WriteLetorFile(dataset, letor_path);
-    if (!written.ok()) {
-      std::fprintf(stderr, "%s\n", written.ToString().c_str());
-      return 1;
-    }
+    if (!written.ok()) return Fail(written);
   }
-  uint64_t letor_queries = 0;
   uint64_t letor_docs = 0;
-  uint64_t letor_failures = 0;
   {
     auto stream = data::LetorQueryStream::Open(letor_path, features);
-    if (!stream.ok()) {
-      std::fprintf(stderr, "%s\n", stream.status().ToString().c_str());
-      return 1;
-    }
-    data::LetorQueryStream reader = std::move(stream).value();
+    if (!stream.ok()) return Fail(stream.status());
     data::QueryBatch batch;
     while (true) {
-      auto more = reader.Next(&batch);
+      auto more = stream->Next(&batch);
       if (!more.ok()) {
         std::fprintf(stderr, "letor: %s\n",
                      more.status().ToString().c_str());
-        ++letor_failures;
+        ++outcome.letor_failures;
         break;
       }
       if (!more.value()) break;
       if (batch.num_docs == 0) continue;
       const serve::ServeResponse resp = engine.ScoreSync(
           batch.features.data(), batch.num_docs, features, 100'000);
-      if (!resp.status.ok()) ++letor_failures;
-      ++letor_queries;
+      if (!resp.status.ok()) ++outcome.letor_failures;
+      ++outcome.letor_queries;
       letor_docs += batch.num_docs;
     }
   }
   std::fprintf(stderr, "letor stream: %llu queries / %llu docs from %s\n",
-               static_cast<unsigned long long>(letor_queries),
+               static_cast<unsigned long long>(outcome.letor_queries),
                static_cast<unsigned long long>(letor_docs),
                letor_path.c_str());
 
@@ -1493,22 +1090,11 @@ int CmdSoakBench(const Args& args) {
   // legitimately carry degraded-rung scores; parity is defined against
   // what the current generation computes at full strength.
   cache.Clear();
-  uint64_t parity_queries = 0;
-  uint64_t parity_mismatches = 0;
-  uint64_t parity_missed_hits = 0;
   {
-    auto twin_servable = serve::Servable::LoadFromFile(bundle_path, sopt);
-    if (!twin_servable.ok()) {
-      std::fprintf(stderr, "%s\n",
-                   twin_servable.status().ToString().c_str());
-      return 1;
-    }
-    std::shared_ptr<const serve::Servable> twin_model(
-        std::move(twin_servable).value());
-    serve::ServingConfig twin_config = sc;
-    twin_config.score_cache = nullptr;
-    serve::ServingEngine twin(serve::Servable::LadderHandle(twin_model),
-                              twin_config);
+    auto twin_ladder = fixture.LoadLadder(fixture.bundle_path());
+    if (!twin_ladder.ok()) return Fail(twin_ladder.status());
+    serve::ServingEngine twin(std::move(twin_ladder).value(),
+                              config.Engine());
     constexpr uint64_t kParityBudgetUs = 200'000;
     for (uint32_t q = 0; q < dataset.num_queries(); ++q) {
       const float* docs = dataset.Row(dataset.QueryBegin(q));
@@ -1519,15 +1105,15 @@ int CmdSoakBench(const Args& args) {
           engine.ScoreSync(docs, count, features, kParityBudgetUs);
       const serve::ServeResponse uncached =
           twin.ScoreSync(docs, count, features, kParityBudgetUs);
-      ++parity_queries;
+      ++outcome.parity_queries;
       if (!first.status.ok() || !second.status.ok() ||
           !uncached.status.ok()) {
-        ++parity_mismatches;
+        ++outcome.parity_mismatches;
         continue;
       }
-      if (!second.cache_hit) ++parity_missed_hits;
+      if (!second.cache_hit) ++outcome.parity_missed_hits;
       if (first.scores != second.scores || first.scores != uncached.scores) {
-        ++parity_mismatches;
+        ++outcome.parity_mismatches;
       }
     }
     twin.Stop();
@@ -1535,46 +1121,16 @@ int CmdSoakBench(const Args& args) {
   engine.Stop();
 
   // ---- Gates and report.
-  const bool gate_hit_rate = hit_rate >= min_hit_rate;
-  const bool gate_shed = shed_rate <= max_shed_rate;
-  const bool gate_failures = counters.failed == 0;
-  bool gate_p99 = true;
-  std::ostringstream rungs_json;
-  for (size_t r = 0; r < num_rungs; ++r) {
-    const double p50 = serve::Percentile(rung_latencies[r], 50);
-    const double p99 = serve::Percentile(rung_latencies[r], 99);
-    // Rungs that served a trivial number of requests are reported but not
-    // gated: a p99 over <20 samples is noise.
-    const bool gated = rung_latencies[r].size() >= 20;
-    if (gated && p99 > max_p99_us) gate_p99 = false;
-    rungs_json << "    {\"rung\": " << r << ", \"name\": \""
-               << engine.ladder().rung(r).name << "\", \"served\": "
-               << rung_latencies[r].size()
-               << ", \"p50_us\": " << FormatFixed(p50, 1)
-               << ", \"p99_us\": " << FormatFixed(p99, 1)
-               << ", \"gated\": " << (gated ? "true" : "false") << "}"
-               << (r + 1 < num_rungs ? "," : "") << "\n";
-  }
-  const bool gate_reloads =
-      good_reload_failures == 0 && counters.swaps_completed >= 2;
-  const bool gate_poison =
-      poison_attempts >= 1 && poison_rejected == poison_attempts;
-  const bool gate_fault = fault_swap_failures == 0;
-  const bool gate_stale = soak_cache.stale_rejects >= 1;
-  const bool gate_parity = parity_mismatches == 0 &&
-                           parity_missed_hits == 0 && parity_queries >= 1;
-  const bool gate_letor = letor_failures == 0 && letor_queries >= 1;
-  const bool pass = gate_hit_rate && gate_shed && gate_failures &&
-                    gate_p99 && gate_reloads && gate_poison && gate_fault &&
-                    gate_stale && gate_parity && gate_letor;
-
+  const replay::GateVerdict verdict =
+      replay::EvaluateGates(replay::SoakGates(outcome));
   std::ostringstream json;
-  json << "{\n";
-  json << "  \"benchmark\": \"soak-bench\",\n";
+  json << "{\n  \"benchmark\": \"soak-bench\",\n";
   json << "  \"config\": {\"duration_ms\": " << duration_ms
        << ", \"qps\": " << FormatFixed(wc.base_qps, 1)
-       << ", \"queries\": " << queries << ", \"features\": " << features
-       << ", \"workers\": " << workers << ", \"deadline_us\": " << deadline_us
+       << ", \"queries\": " << config.queries
+       << ", \"features\": " << features
+       << ", \"workers\": " << config.workers
+       << ", \"deadline_us\": " << config.deadline_us
        << ", \"reload_every_ms\": " << reload_every_ms
        << ", \"poison_every\": " << poison_every
        << ", \"zipf_exponent\": " << FormatFixed(wc.zipf_exponent, 2)
@@ -1583,69 +1139,48 @@ int CmdSoakBench(const Args& args) {
        << ", \"burst_probability\": "
        << FormatFixed(wc.burst_probability, 4)
        << ", \"cache_capacity\": " << cache_config.capacity
-       << ", \"seed\": " << seed << "},\n";
-  json << "  \"soak\": {\"submitted\": " << submitted
-       << ", \"ok\": " << counters.ok << ", \"failed\": " << counters.failed
-       << ", \"shed_queue_full\": " << counters.shed_queue_full
-       << ", \"shed_deadline\": " << counters.shed_deadline
-       << ", \"deadline_exceeded\": " << counters.deadline_exceeded
-       << ", \"degraded\": " << counters.degraded
-       << ", \"shed_rate\": " << FormatFixed(shed_rate, 4)
-       << ", \"cache_hit_responses\": " << soak_cache_hits
-       << ", \"bursts_started\": " << workload.bursts_started()
-       << ", \"arrivals_in_burst\": " << arrivals_in_burst << "},\n";
+       << ", \"seed\": " << config.seed << "},\n";
+  json << "  \"soak\": {\"submitted\": " << summary.submitted << ", "
+       << EngineCountersJson(counters)
+       << ", \"shed_rate\": " << FormatFixed(outcome.shed_rate, 4)
+       << ", \"cache_hit_responses\": " << summary.cache_hits
+       << ", \"bursts_started\": " << source.bursts_started()
+       << ", \"arrivals_in_burst\": " << source.arrivals_in_burst() << "},\n";
   json << "  \"cache\": {\"hits\": " << soak_cache.hits
        << ", \"misses\": " << soak_cache.misses
        << ", \"evictions\": " << soak_cache.evictions
        << ", \"stale_rejects\": " << soak_cache.stale_rejects
        << ", \"entries\": " << soak_cache.entries
-       << ", \"hit_rate\": " << FormatFixed(hit_rate, 4) << "},\n";
-  json << "  \"rungs\": [\n" << rungs_json.str() << "  ],\n";
+       << ", \"hit_rate\": " << FormatFixed(outcome.hit_rate, 4) << "},\n";
+  json << "  \"rungs\": [\n";
+  for (size_t r = 0; r < summary.rungs.size(); ++r) {
+    const replay::LatencySummary& rung = summary.rungs[r];
+    json << "    {\"rung\": " << r << ", \"name\": \""
+         << engine.ladder().rung(r).name << "\", \"served\": " << rung.count
+         << ", \"p50_us\": " << FormatFixed(rung.p50_us, 1)
+         << ", \"p99_us\": " << FormatFixed(rung.p99_us, 1) << ", \"gated\": "
+         << (rung.count >= replay::kMinGatedRungSamples ? "true" : "false")
+         << "}" << (r + 1 < summary.rungs.size() ? "," : "") << "\n";
+  }
+  json << "  ],\n";
   json << "  \"swaps\": {\"attempted\": " << counters.swaps_attempted
        << ", \"completed\": " << counters.swaps_completed
        << ", \"rejected\": " << counters.swaps_rejected
        << ", \"good_reloads\": " << good_reloads
-       << ", \"good_reload_failures\": " << good_reload_failures
-       << ", \"poison_attempts\": " << poison_attempts
-       << ", \"poison_rejected\": " << poison_rejected
-       << ", \"fault_swap_failures\": " << fault_swap_failures
+       << ", \"good_reload_failures\": " << outcome.good_reload_failures
+       << ", \"poison_attempts\": " << outcome.poison_attempts
+       << ", \"poison_rejected\": " << outcome.poison_rejected
+       << ", \"fault_swap_failures\": " << outcome.fault_swap_failures
        << ", \"final_model_version\": " << engine.model_version() << "},\n";
   json << "  \"letor\": {\"path\": \"" << letor_path
-       << "\", \"queries\": " << letor_queries
+       << "\", \"queries\": " << outcome.letor_queries
        << ", \"docs\": " << letor_docs
-       << ", \"failures\": " << letor_failures << "},\n";
-  json << "  \"parity\": {\"queries\": " << parity_queries
-       << ", \"mismatches\": " << parity_mismatches
-       << ", \"missed_hits\": " << parity_missed_hits << "},\n";
-  json << "  \"gates\": {\"cache_hit_rate\": "
-       << (gate_hit_rate ? "true" : "false")
-       << ", \"shed_rate\": " << (gate_shed ? "true" : "false")
-       << ", \"zero_failures\": " << (gate_failures ? "true" : "false")
-       << ", \"rung_p99\": " << (gate_p99 ? "true" : "false")
-       << ", \"reloads_lossless\": " << (gate_reloads ? "true" : "false")
-       << ", \"poison_rejected\": " << (gate_poison ? "true" : "false")
-       << ", \"fault_swaps\": " << (gate_fault ? "true" : "false")
-       << ", \"stale_rejected\": " << (gate_stale ? "true" : "false")
-       << ", \"cache_parity\": " << (gate_parity ? "true" : "false")
-       << ", \"letor_stream\": " << (gate_letor ? "true" : "false")
-       << ", \"pass\": " << (pass ? "true" : "false") << "}\n";
-  json << "}\n";
-
-  if (!EnsureParentDir(out)) return 1;
-  std::ofstream file(out);
-  file << json.str();
-  if (!file) {
-    std::fprintf(stderr, "failed to write %s\n", out.c_str());
-    return 1;
-  }
-  std::printf("%s", json.str().c_str());
-  std::printf("wrote %s\n", out.c_str());
-  if (!pass) {
-    std::fprintf(stderr, "soak SLO gate FAILED (see gates above)\n");
-    return 1;
-  }
-  std::fprintf(stderr, "soak SLO gate passed\n");
-  return 0;
+       << ", \"failures\": " << outcome.letor_failures << "},\n";
+  json << "  \"parity\": {\"queries\": " << outcome.parity_queries
+       << ", \"mismatches\": " << outcome.parity_mismatches
+       << ", \"missed_hits\": " << outcome.parity_missed_hits << "},\n";
+  json << "  \"gates\": " << verdict.json << "\n}\n";
+  return replay::FinishGatedReport(out, json.str(), verdict, "soak SLO");
 }
 
 /// Load-tests the deadline-aware serving engine over a synthetic corpus and
@@ -1658,45 +1193,32 @@ int CmdSoakBench(const Args& args) {
 int CmdServeBench(const Args& args) {
   if (args.GetInt("shards", 0) >= 2) return CmdServeBenchSharded(args);
   if (args.GetInt("reload-every", 0) > 0) return CmdServeBenchReload(args);
-  const auto features = static_cast<uint32_t>(args.GetInt("features", 136));
-  const auto queries = static_cast<uint32_t>(args.GetInt("queries", 80));
-  const int requests = args.GetInt("requests", 300);
-  const auto deadline_us =
-      static_cast<uint64_t>(args.GetInt("deadline-us", 6000));
-  const auto workers = static_cast<uint32_t>(args.GetInt("workers", 4));
+  const replay::ServeConfig config = ParseServeConfig(
+      args, {.queries = 80, .features = 136, .deadline_us = 6000});
+  const int requests = args.GetCount("requests", 300);
+  const auto features = static_cast<uint32_t>(config.features);
+  const uint64_t seed = config.seed;
   const auto threads = static_cast<uint32_t>(args.GetInt("threads", 1));
-  const double fault_rate = args.GetDouble("fault-rate", 0.2);
-  const double spike_rate = args.GetDouble("spike-rate", 0.1);
-  const auto spike_us = static_cast<uint64_t>(args.GetInt("spike-us", 2000));
-  const double nan_rate = args.GetDouble("nan-rate", 0.05);
-  const auto seed = static_cast<uint64_t>(args.GetInt("seed", 42));
+  const auto num_trees = static_cast<uint32_t>(args.GetInt("trees", 40));
+  serve::FaultInjectionConfig fic;
+  fic.transient_fault_probability = args.GetDouble("fault-rate", 0.2);
+  fic.latency_spike_probability = args.GetDouble("spike-rate", 0.1);
+  fic.spike_micros = static_cast<uint64_t>(args.GetInt("spike-us", 2000));
+  fic.non_finite_probability = args.GetDouble("nan-rate", 0.05);
+  fic.seed = seed;
   const std::string out = args.Get("out", "out/serve_latency.json");
   const bool obs_spans = args.GetInt("obs", 0) != 0;
   const std::string obs_out = args.Get("obs-out", "out/obs_stats.json");
+  args.RejectUnread();
 
   // Synthetic corpus standing in for the ranking candidate sets.
-  data::SyntheticConfig config = data::SyntheticConfig::MsnLike(1.0);
-  config.num_queries = queries;
-  config.num_features = features;
-  config.seed = seed;
-  const data::Dataset dataset = data::GenerateSynthetic(config);
-  std::fprintf(stderr, "corpus: %u docs / %u queries / %u features\n",
-               dataset.num_docs(), dataset.num_queries(),
-               dataset.num_features());
+  const data::Dataset dataset = replay::SyntheticCorpus(
+      static_cast<uint32_t>(config.queries), features, seed);
 
   // Forest rungs: a small LambdaMART ensemble plus a first-stage-only
   // subset of its trees (the cheapest thing that still ranks).
-  gbdt::BoosterConfig bc;
-  bc.num_trees = static_cast<uint32_t>(args.GetInt("trees", 40));
-  bc.num_leaves = 32;
-  std::fprintf(stderr, "training %u-tree forest...\n", bc.num_trees);
-  gbdt::Booster booster(bc);
-  const gbdt::Ensemble forest_model = booster.TrainLambdaMart(dataset, nullptr);
-  gbdt::Ensemble subset(forest_model.base_score());
-  const uint32_t subset_trees = std::max(1u, forest_model.num_trees() / 4);
-  for (uint32_t t = 0; t < subset_trees; ++t) {
-    subset.AddTree(forest_model.tree(t));
-  }
+  const gbdt::Ensemble subset =
+      replay::FirstTrees(replay::TrainForest(dataset, num_trees, 32), 4);
   forest::QuickScorer subset_qs(subset, features);
 
   // Neural rungs with random weights: serving cost, not ranking quality, is
@@ -1755,17 +1277,14 @@ int CmdServeBench(const Args& args) {
   const auto sparse_pred = predict::SparseTimePredictor::Calibrate();
   const double subset_cost =
       core::MeasureScorerMicrosPerDocSynthetic(subset_qs, 2048, features);
+  const double small_cost = serve::PredictNeuralRungMicrosPerDoc(
+      small_arch, 64, 0.0, dense_pred, sparse_pred);
   const double raw_costs[4] = {
       serve::PredictNeuralRungMicrosPerDoc(
           big_arch, 64, hybrid.first_layer_sparsity(), dense_pred,
           sparse_pred),
-      serve::PredictNeuralRungMicrosPerDoc(small_arch, 64, 0.0, dense_pred,
-                                           sparse_pred),
-      serve::PredictCascadeMicrosPerDoc(
-          subset_cost,
-          serve::PredictNeuralRungMicrosPerDoc(small_arch, 64, 0.0, dense_pred,
-                                               sparse_pred),
-          0.25),
+      small_cost,
+      serve::PredictCascadeMicrosPerDoc(subset_cost, small_cost, 0.25),
       subset_cost};
   // The ladder requires non-increasing costs; predictions on a given
   // machine may cross, so clamp (the JSON reports the raw predictions).
@@ -1774,12 +1293,6 @@ int CmdServeBench(const Args& args) {
     costs[i] = i == 0 ? raw_costs[0] : std::min(raw_costs[i], costs[i - 1]);
   }
 
-  serve::FaultInjectionConfig fic;
-  fic.transient_fault_probability = fault_rate;
-  fic.latency_spike_probability = spike_rate;
-  fic.spike_micros = spike_us;
-  fic.non_finite_probability = nan_rate;
-  fic.seed = seed;
   serve::FaultInjectingScorer faulty_hybrid(&hybrid, fic);
   serve::InfallibleScorerAdapter dense_adapter(&dense_small);
   serve::InfallibleScorerAdapter cascade_adapter(&par_cascade);
@@ -1793,83 +1306,52 @@ int CmdServeBench(const Args& args) {
   for (int i = 0; i < 4; ++i) {
     const Status status = ladder.AddRung(rung_names[i], rung_scorers[i],
                                          costs[i], scaling);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
+    if (!status.ok()) return Fail(status);
     std::fprintf(stderr, "rung %d %-14s %8.3f us/doc (serial %.3f, raw %.3f)\n",
                  i, rung_names[i],
                  ladder.rung(static_cast<size_t>(i)).predicted_us_per_doc,
                  costs[i], raw_costs[i]);
   }
 
-  serve::ServingConfig sc;
-  sc.num_workers = workers;
-  sc.queue_capacity = static_cast<uint32_t>(args.GetInt("queue", 128));
+  const serve::ServingConfig sc = config.Engine();
   serve::ServingEngine engine(&ladder, sc);
 
   // With --obs 1 the scoring hot-path spans (mm / nn / forest) record too,
-  // so the exported registry breaks request latency down by stage. The
-  // engine-level histograms (rung totals, queue wait, backoff) always
-  // record: they replace the counters a production service would not turn
-  // off.
+  // breaking request latency down by stage; the engine-level histograms
+  // (rung totals, queue wait, backoff) always record.
   obs::MetricsRegistry::Global().SetEnabled(obs_spans);
 
-  // Round-robin the queries through the engine with a bounded in-flight
-  // window so the queue sees sustained pressure without unbounded shedding.
-  std::fprintf(stderr, "serving %d requests (deadline %llu us)...\n", requests,
-               static_cast<unsigned long long>(deadline_us));
-  std::vector<std::future<serve::ServeResponse>> inflight;
-  std::vector<serve::ServeResponse> responses;
-  responses.reserve(static_cast<size_t>(requests));
-  const size_t window = static_cast<size_t>(workers) * 4;
-  for (int r = 0; r < requests; ++r) {
-    const uint32_t q = static_cast<uint32_t>(r) % dataset.num_queries();
-    serve::ServeRequest request;
-    request.docs = dataset.Row(dataset.QueryBegin(q));
-    request.count = dataset.QuerySize(q);
-    request.stride = dataset.num_features();
-    request.deadline =
-        serve::Deadline::AfterMicros(engine.clock(), deadline_us);
-    inflight.push_back(engine.Submit(request));
-    if (inflight.size() >= window) {
-      responses.push_back(inflight.front().get());
-      inflight.erase(inflight.begin());
-    }
-  }
-  for (auto& future : inflight) responses.push_back(future.get());
+  std::fprintf(stderr, "serving %d requests (deadline %llu us)...\n",
+               requests, static_cast<unsigned long long>(config.deadline_us));
+  replay::RoundRobinSource source(dataset, static_cast<uint64_t>(requests));
+  const replay::ResponseSummary summary = replay::SummarizeResponses(
+      replay::DriveTraffic(engine, source, config),
+      ladder.num_rungs(), config.deadline_us);
   engine.Stop();
   obs::MetricsRegistry::Global().SetEnabled(false);
 
   const serve::ServeCountersSnapshot counters = engine.counters().Snapshot();
-  std::vector<double> ok_latencies;
-  uint64_t within_deadline = 0;
-  for (const auto& resp : responses) {
-    if (!resp.status.ok()) continue;
-    ok_latencies.push_back(static_cast<double>(resp.total_micros));
-    if (resp.total_micros <= deadline_us) ++within_deadline;
-  }
-
   std::ostringstream json;
-  json << "{\n";
-  json << "  \"benchmark\": \"serve-bench\",\n";
+  json << "{\n  \"benchmark\": \"serve-bench\",\n";
   json << "  \"config\": {\"requests\": " << requests
-       << ", \"deadline_us\": " << deadline_us << ", \"workers\": " << workers
-       << ", \"threads\": " << threads << ", \"parallel_efficiency\": "
-       << FormatFixed(scaling.efficiency, 3)
+       << ", \"deadline_us\": " << config.deadline_us
+       << ", \"workers\": " << config.workers << ", \"threads\": " << threads
+       << ", \"parallel_efficiency\": " << FormatFixed(scaling.efficiency, 3)
        << ", \"queue_capacity\": " << sc.queue_capacity
-       << ", \"fault_rate\": " << fault_rate
-       << ", \"spike_rate\": " << spike_rate << ", \"spike_us\": " << spike_us
-       << ", \"nan_rate\": " << nan_rate << ", \"seed\": " << seed << "},\n";
+       << ", \"fault_rate\": " << fic.transient_fault_probability
+       << ", \"spike_rate\": " << fic.latency_spike_probability
+       << ", \"spike_us\": " << fic.spike_micros
+       << ", \"nan_rate\": " << fic.non_finite_probability
+       << ", \"seed\": " << seed << "},\n";
   // Mean batch size of the round-robined corpus: the request count the
   // predictor drift comparison is evaluated at.
   const uint32_t mean_docs = std::max(
       1u, dataset.num_docs() / std::max(1u, dataset.num_queries()));
   json << "  \"rungs\": [\n";
   for (size_t i = 0; i < ladder.num_rungs(); ++i) {
-    // Per-rung latency now comes from the engine's bounded log2 histograms
-    // (constant memory under load) instead of the removed unbounded sample
-    // recorder; percentile estimates are within 2x of exact.
+    // Per-rung latency comes from the engine's bounded log2 histograms,
+    // which also feed the predictor drift gauges; percentile estimates are
+    // within 2x of exact.
     const obs::Histogram& rung_hist = engine.rung_latency(i);
     const predict::DriftSample drift = predict::RecordPredictorDrift(
         rung_names[i],
@@ -1904,54 +1386,19 @@ int CmdServeBench(const Args& args) {
        << FormatFixed(engine.retry_backoff().SumMicros(), 1) << "},\n";
   json << "  \"obs\": {\"spans_enabled\": " << (obs_spans ? "true" : "false")
        << ", \"stats_file\": \"" << obs_out << "\"},\n";
-  json << "  \"overall\": {\"ok\": " << counters.ok
-       << ", \"within_deadline\": " << within_deadline
-       << ", \"shed_queue_full\": " << counters.shed_queue_full
-       << ", \"shed_deadline\": " << counters.shed_deadline
-       << ", \"deadline_exceeded\": " << counters.deadline_exceeded
-       << ", \"failed\": " << counters.failed
-       << ", \"degraded\": " << counters.degraded
-       << ", \"retries\": " << counters.retries
-       << ", \"transient_faults\": " << counters.transient_faults
-       << ", \"timeouts\": " << counters.timeouts
-       << ", \"non_finite_batches\": " << counters.non_finite_batches
-       << ", \"circuit_opens\": " << counters.circuit_opens
-       << ", \"circuit_closes\": " << counters.circuit_closes
-       << ", \"p50_us\": " << FormatFixed(serve::Percentile(ok_latencies, 50), 1)
-       << ", \"p95_us\": " << FormatFixed(serve::Percentile(ok_latencies, 95), 1)
-       << ", \"p99_us\": " << FormatFixed(serve::Percentile(ok_latencies, 99), 1)
-       << "}\n";
-  json << "}\n";
-
-  if (!EnsureParentDir(out)) return 1;
-  std::ofstream file(out);
-  file << json.str();
-  if (!file) {
-    std::fprintf(stderr, "failed to write %s\n", out.c_str());
-    return 1;
-  }
-  std::printf("%s", json.str().c_str());
-  std::printf("wrote %s\n", out.c_str());
-
+  json << "  \"overall\": {" << EngineCountersJson(counters)
+       << ", \"within_deadline\": " << summary.within_deadline
+       << ", \"p50_us\": " << FormatFixed(summary.overall.p50_us, 1)
+       << ", \"p95_us\": " << FormatFixed(summary.overall.p95_us, 1)
+       << ", \"p99_us\": " << FormatFixed(summary.overall.p99_us, 1)
+       << "}\n}\n";
+  if (!WriteReport(out, json.str())) return 1;
   // Full registry export: engine histograms, drift gauges and (with --obs)
-  // the per-stage scoring spans. Checked before writing, so a malformed
-  // report can never land on disk.
-  const std::string obs_json = obs::MetricsRegistry::Global().ToJson();
-  const std::string obs_error = obs::CheckJsonSyntax(obs_json);
-  if (!obs_error.empty()) {
-    std::fprintf(stderr, "exported stats are not valid JSON: %s\n",
-                 obs_error.c_str());
-    return 1;
-  }
-  if (!EnsureParentDir(obs_out)) return 1;
-  std::ofstream obs_file(obs_out);
-  obs_file << obs_json;
-  if (!obs_file) {
-    std::fprintf(stderr, "failed to write %s\n", obs_out.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", obs_out.c_str());
-  return 0;
+  // the per-stage scoring spans.
+  return WriteReport(obs_out, obs::MetricsRegistry::Global().ToJson(),
+                     /*echo=*/false)
+             ? 0
+             : 1;
 }
 
 /// Measures GEMM GFLOP/s and end-to-end docs/s of the dense-NN, hybrid-NN
@@ -1976,6 +1423,9 @@ int CmdBenchScaling(const Args& args) {
   const std::string out = args.Get("out", "out/bench_scaling.json");
   const bool obs_spans = args.GetInt("obs", 0) != 0;
   const std::string obs_out = args.Get("obs-out", "out/bench_scaling_obs.json");
+  const std::string configs_flag = args.Get("configs", "large");
+  const std::string large_arch = args.Get("arch", "256x128x64");
+  args.RejectUnread();
 
   // Named workload presets. "large" is the tuned throughput config (the
   // --queries/--arch/--trees flags apply to it); "small" is a fixed tiny
@@ -1988,11 +1438,9 @@ int CmdBenchScaling(const Args& args) {
     std::string arch;
   };
   std::vector<Preset> presets;
-  const std::string configs_flag = args.Get("configs", "large");
   for (const std::string_view piece : SplitAndSkipEmpty(configs_flag, ',')) {
     if (piece == "large") {
-      presets.push_back(
-          Preset{"large", queries, num_trees, args.Get("arch", "256x128x64")});
+      presets.push_back(Preset{"large", queries, num_trees, large_arch});
     } else if (piece == "small") {
       presets.push_back(Preset{"small", 8, 5, "32x16"});
     } else {
@@ -2017,9 +1465,8 @@ int CmdBenchScaling(const Args& args) {
     Preset preset;
     uint32_t docs = 0;
     std::vector<Row> rows;
-    double t2_ratio = 0.0;     // dense T=2 / T=1 docs/s; 0 when not measured
-    double gate_ratio = 0.0;   // required minimum; 0 when no gate applies
-    bool gate_pass = true;
+    double t2_ratio = 0.0;    // dense T=2 / T=1 docs/s; 0 when not measured
+    double gate_ratio = 0.0;  // required minimum; 0 when no gate applies
   };
   std::vector<ConfigReport> reports;
 
@@ -2038,23 +1485,11 @@ int CmdBenchScaling(const Args& args) {
 
     // Synthetic corpus: throughput, not ranking quality, is what this bench
     // measures, so the neural rungs keep their random initial weights.
-    data::SyntheticConfig config = data::SyntheticConfig::MsnLike(1.0);
-    config.num_queries = preset.queries;
-    config.num_features = features;
-    config.seed = seed;
-    const data::Dataset dataset = data::GenerateSynthetic(config);
-    std::fprintf(stderr, "[%s] corpus: %u docs / %u queries / %u features\n",
-                 preset.name.c_str(), dataset.num_docs(),
-                 dataset.num_queries(), dataset.num_features());
-
-    gbdt::BoosterConfig bc;
-    bc.num_trees = preset.trees;
-    bc.num_leaves = 32;
-    std::fprintf(stderr, "[%s] training %u-tree forest...\n",
-                 preset.name.c_str(), bc.num_trees);
-    gbdt::Booster booster(bc);
+    std::fprintf(stderr, "[%s]\n", preset.name.c_str());
+    const data::Dataset dataset =
+        replay::SyntheticCorpus(preset.queries, features, seed);
     const gbdt::Ensemble forest_model =
-        booster.TrainLambdaMart(dataset, nullptr);
+        replay::TrainForest(dataset, preset.trees, 32);
     forest::QuickScorer tree_scorer(forest_model, features);
 
     nn::Mlp dense_mlp(*arch, seed);
@@ -2146,8 +1581,9 @@ int CmdBenchScaling(const Args& args) {
 
   // Per-config T=2 / T=1 ratios and gates. "small" answers to
   // --min-t2-ratio-small (the no-regression bound); every other config
-  // answers to --min-t2-ratio (the must-scale bound).
-  bool gates_pass = true;
+  // answers to --min-t2-ratio (the must-scale bound). Without both 1 and 2
+  // in --threads the ratio stays 0, so the gate fails.
+  std::vector<replay::Gate> gates;
   for (ConfigReport& report : reports) {
     const Row* t1 = nullptr;
     const Row* t2 = nullptr;
@@ -2165,12 +1601,9 @@ int CmdBenchScaling(const Args& args) {
       std::fprintf(stderr,
                    "[%s] gate needs both 1 and 2 in --threads\n",
                    report.preset.name.c_str());
-      report.gate_pass = false;
-      gates_pass = false;
-      continue;
     }
-    report.gate_pass = report.t2_ratio >= report.gate_ratio;
-    if (!report.gate_pass) gates_pass = false;
+    gates.push_back({report.preset.name + "_t2_ratio", report.t2_ratio,
+                     replay::GateOp::kAtLeast, report.gate_ratio});
   }
 
   std::ostringstream json;
@@ -2231,7 +1664,8 @@ int CmdBenchScaling(const Args& args) {
       json << ",\n     \"gate\": {\"min_t2_ratio\": "
            << FormatFixed(report.gate_ratio, 3)
            << ", \"t2_ratio\": " << FormatFixed(report.t2_ratio, 3)
-           << ", \"pass\": " << (report.gate_pass ? "true" : "false") << "}";
+           << ", \"pass\": "
+           << (report.t2_ratio >= report.gate_ratio ? "true" : "false") << "}";
     }
     json << "}" << (c + 1 < reports.size() ? "," : "") << "\n";
   }
@@ -2257,49 +1691,13 @@ int CmdBenchScaling(const Args& args) {
   }
   json << "\n}\n";
 
-  if (!EnsureParentDir(out)) return 1;
-  std::ofstream file(out);
-  file << json.str();
-  if (!file) {
-    std::fprintf(stderr, "failed to write %s\n", out.c_str());
+  if (obs_spans && !WriteReport(obs_out,
+                                obs::MetricsRegistry::Global().ToJson(),
+                                /*echo=*/false)) {
     return 1;
   }
-  std::printf("%s", json.str().c_str());
-  std::printf("wrote %s\n", out.c_str());
-
-  if (obs_spans) {
-    const std::string obs_json = obs::MetricsRegistry::Global().ToJson();
-    const std::string obs_error = obs::CheckJsonSyntax(obs_json);
-    if (!obs_error.empty()) {
-      std::fprintf(stderr, "exported stats are not valid JSON: %s\n",
-                   obs_error.c_str());
-      return 1;
-    }
-    if (!EnsureParentDir(obs_out)) return 1;
-    std::ofstream obs_file(obs_out);
-    obs_file << obs_json;
-    if (!obs_file) {
-      std::fprintf(stderr, "failed to write %s\n", obs_out.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", obs_out.c_str());
-  }
-
-  for (const ConfigReport& report : reports) {
-    if (report.gate_ratio <= 0.0) continue;
-    if (!report.gate_pass) {
-      std::fprintf(stderr,
-                   "FAIL [%s]: dense rung T=2/T=1 throughput ratio "
-                   "%.3f < %.3f\n",
-                   report.preset.name.c_str(), report.t2_ratio,
-                   report.gate_ratio);
-    } else {
-      std::printf("scaling gate ok [%s]: dense T=2/T=1 ratio %.3f >= %.3f\n",
-                  report.preset.name.c_str(), report.t2_ratio,
-                  report.gate_ratio);
-    }
-  }
-  return gates_pass ? 0 : 1;
+  return replay::FinishGatedReport(out, json.str(),
+                                   replay::EvaluateGates(gates), "scaling");
 }
 
 /// Exercises the instrumented scoring stack (dense NN, hybrid NN, tree
@@ -2318,6 +1716,7 @@ int CmdStats(const Args& args) {
 
   if (args.Has("in")) {
     const std::string path = args.Get("in", "");
+    args.RejectUnread();
     std::ifstream file(path);
     if (!file) {
       std::fprintf(stderr, "cannot open %s\n", path.c_str());
@@ -2343,22 +1742,16 @@ int CmdStats(const Args& args) {
   const double max_overhead_pct = args.GetDouble("max-overhead-pct", 0.0);
   const int trials = args.GetInt("trials", 3);
   const std::string out = args.Get("out", "-");
+  args.RejectUnread();
 
-  data::SyntheticConfig config = data::SyntheticConfig::MsnLike(1.0);
-  config.num_queries = queries;
-  config.num_features = features;
-  config.seed = seed;
-  const data::Dataset dataset = data::GenerateSynthetic(config);
+  const data::Dataset dataset =
+      replay::SyntheticCorpus(queries, features, seed);
 
   // One scorer per instrumented subsystem: the dense MLP drives the GEMM
   // spans, the hybrid MLP the sparse first-layer split, the QuickScorer
   // pair the forest traversal spans. Random weights: this command measures
   // plumbing, not ranking quality.
-  gbdt::BoosterConfig bc;
-  bc.num_trees = 10;
-  bc.num_leaves = 16;
-  gbdt::Booster booster(bc);
-  const gbdt::Ensemble forest_model = booster.TrainLambdaMart(dataset, nullptr);
+  const gbdt::Ensemble forest_model = replay::TrainForest(dataset, 10, 16);
   const forest::QuickScorer qs(forest_model, dataset.num_features());
   const forest::BlockwiseQuickScorer bwqs(forest_model, dataset.num_features());
   const predict::Architecture arch(dataset.num_features(), {128, 64});
@@ -2422,23 +1815,15 @@ int CmdStats(const Args& args) {
   registry.SetEnabled(false);
 
   const std::string json = registry.ToJson();
-  const std::string error = obs::CheckJsonSyntax(json);
-  if (!error.empty()) {
+  if (out != "-") {
+    if (!WriteReport(out, json, /*echo=*/false)) return 1;
+  } else if (const std::string error = obs::CheckJsonSyntax(json);
+             !error.empty()) {
     std::fprintf(stderr, "exported stats are not valid JSON: %s\n",
                  error.c_str());
     return 1;
-  }
-  if (out == "-") {
-    std::printf("%s", json.c_str());
   } else {
-    if (!EnsureParentDir(out)) return 1;
-    std::ofstream file(out);
-    file << json;
-    if (!file) {
-      std::fprintf(stderr, "failed to write %s\n", out.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", out.c_str());
+    std::printf("%s", json.c_str());
   }
   return failures == 0 ? 0 : 1;
 }
@@ -2457,6 +1842,8 @@ int CmdValidate(const Args& args) {
   }
   const uint32_t features =
       static_cast<uint32_t>(args.GetInt("features", 0));
+  const auto max_label = static_cast<float>(args.GetDouble("max-label", 4.0));
+  args.RejectUnread();
   bool ok = true;
 
   if (args.Has("model")) {
@@ -2507,9 +1894,8 @@ int CmdValidate(const Args& args) {
       return 1;
     }
     validate::Report report;
-    data::ValidateDataset(
-        *dataset, validate::Checker(&report, "dataset"),
-        static_cast<float>(args.GetDouble("max-label", 4.0)));
+    data::ValidateDataset(*dataset, validate::Checker(&report, "dataset"),
+                          max_label);
     ok = PrintReport("dataset", report) && ok;
   }
 
@@ -2536,7 +1922,7 @@ bundle::RungConfig ParseRungSpec(const std::string& csv) {
     bundle::RungSpec spec;
     spec.name = item.substr(0, first);
     spec.kind = item.substr(first + 1, second - first - 1);
-    spec.us_per_doc = std::atof(item.c_str() + second + 1);
+    spec.us_per_doc = ParseNumber(item.substr(second + 1), "--rungs");
     config.rungs.push_back(std::move(spec));
   }
   if (config.rungs.empty()) {
@@ -2555,18 +1941,24 @@ bundle::RungConfig ParseRungSpec(const std::string& csv) {
 int CmdBundlePack(const Args& args) {
   const std::string out = args.Require("out");
   const bool binary = args.GetInt("binary", 0) != 0;
+  const std::string in = args.Get("in", "");
+  const std::string teacher_path = args.Get("teacher", "");
+  const std::string student_path = args.Get("student", "");
+  const std::string norm_data = args.Get("norm-data", "");
+  const std::string rung_spec = args.Get("rungs", "");
+  args.RejectUnread();
   bundle::ModelBundle pack;
 
-  if (args.Has("in")) {
-    auto loaded = bundle::ModelBundle::LoadFromFile(args.Get("in", ""));
+  if (!in.empty()) {
+    auto loaded = bundle::ModelBundle::LoadFromFile(in);
     if (!loaded.ok()) {
       std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
       return 1;
     }
     pack = std::move(loaded).value();
   }
-  if (args.Has("teacher")) {
-    auto teacher = gbdt::Ensemble::LoadFromFile(args.Get("teacher", ""));
+  if (!teacher_path.empty()) {
+    auto teacher = gbdt::Ensemble::LoadFromFile(teacher_path);
     if (!teacher.ok()) {
       std::fprintf(stderr, "%s\n", teacher.status().ToString().c_str());
       return 1;
@@ -2577,8 +1969,8 @@ int CmdBundlePack(const Args& args) {
       return 1;
     }
   }
-  if (args.Has("student")) {
-    auto student = nn::Mlp::LoadFromFile(args.Get("student", ""));
+  if (!student_path.empty()) {
+    auto student = nn::Mlp::LoadFromFile(student_path);
     if (!student.ok()) {
       std::fprintf(stderr, "%s\n", student.status().ToString().c_str());
       return 1;
@@ -2589,8 +1981,8 @@ int CmdBundlePack(const Args& args) {
       return 1;
     }
   }
-  if (args.Has("norm-data")) {
-    const data::Dataset dataset = LoadLetorOrDie(args.Get("norm-data", ""));
+  if (!norm_data.empty()) {
+    const data::Dataset dataset = LoadLetorOrDie(norm_data);
     data::ZNormalizer normalizer;
     normalizer.Fit(dataset);
     const Status status = pack.SetNormalizer(normalizer);
@@ -2599,8 +1991,8 @@ int CmdBundlePack(const Args& args) {
       return 1;
     }
   }
-  if (args.Has("rungs")) {
-    const Status status = pack.SetRungs(ParseRungSpec(args.Get("rungs", "")));
+  if (!rung_spec.empty()) {
+    const Status status = pack.SetRungs(ParseRungSpec(rung_spec));
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
@@ -2638,6 +2030,7 @@ int CmdBundlePack(const Args& args) {
 int CmdBundleUnpack(const Args& args) {
   const std::string in = args.Require("in");
   const std::string dir = args.Get("out-dir", ".");
+  args.RejectUnread();
   auto loaded = bundle::ModelBundle::LoadFromFile(in);
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
@@ -2684,6 +2077,7 @@ int CmdBundleUnpack(const Args& args) {
 int CmdBundleVerify(const Args& args) {
   const std::string in = args.Require("in");
   const auto features = static_cast<uint32_t>(args.GetInt("features", 0));
+  args.RejectUnread();
   auto raw = ReadFileToString(in);
   if (!raw.ok()) {
     std::fprintf(stderr, "%s: %s\n", in.c_str(),
@@ -2804,6 +2198,7 @@ int CmdBundleBench(const Args& args) {
   const double min_speedup = args.GetDouble("min-speedup", 0.0);
   const std::string dir = args.Get("dir", "out");
   const auto seed = static_cast<uint64_t>(args.GetInt("seed", 42));
+  args.RejectUnread();
 
   Rng rng(seed);
   gbdt::Ensemble teacher(rng.Normal());
@@ -2973,9 +2368,9 @@ int Usage() {
       "  gen           --out F [--queries N] [--features K] [--style "
       "msn|istella] [--seed S]\n"
       "  train-forest  --train F --out M [--valid F] [--trees N] [--leaves L]"
-      " [--lr R] [--tune T]\n"
+      " [--lr R] [--min-docs N] [--l2 X] [--tune T]\n"
       "  distill       --train F --teacher M --arch AxBxC --out M [--prune "
-      "0.97] [--epochs E]\n"
+      "0.97] [--epochs E] [--batch B] [--lr R]\n"
       "  score         --model M --data F [--out F|-] [--engine "
       "qs|vqs|wide|naive|dense|hybrid] [--time 1]\n"
       "  evaluate      --model M --data F [--engine ...]\n"
@@ -2983,30 +2378,34 @@ int Usage() {
       "S]\n"
       "  validate      [--model M] [--data F] [--features K] [--max-label "
       "L]\n"
-      "  serve-bench   [--requests N] [--deadline-us U] [--workers W] "
-      "[--threads T] [--fault-rate P] [--spike-rate P] [--spike-us U] "
-      "[--nan-rate P] [--obs 1] [--obs-out F] [--out F] "
-      "[--reload-every N [--bundle F]] | --shards N [--tenants M] "
-      "[--abusive-tenant T] [--soak-ms D] [--baseline-ms D] [--pace-us U] "
-      "[--quota-rate R] [--quota-burst B] [--burst-trigger P] [--burst-len N] "
-      "[--p99-ratio X] [--p99-floor-us U] [--max-error-rate P]\n"
-      "  soak-bench    [--duration-ms D] [--qps R] [--queries N] "
-      "[--features K] [--workers W] [--deadline-us U] [--reload-every-ms D] "
-      "[--poison-every N] [--zipf-exponent S] [--diurnal-amplitude A] "
-      "[--diurnal-period-ms D] [--burst-probability P] [--cache-capacity N] "
-      "[--cache-shards N] [--min-hit-rate R] [--max-shed-rate R] "
-      "[--max-p99-us U] [--letor F] [--out F]\n"
+      "  serve flags   [--queries N] [--features K] [--workers W] "
+      "[--deadline-us U] [--queue Q] [--seed S] [--out F]: every serve-bench"
+      " mode and soak-bench\n"
+      "  serve-bench   [--requests N] [--trees N] [--threads T] "
+      "[--fault-rate P] [--spike-rate P] [--spike-us U] [--nan-rate P] "
+      "[--obs 1] [--obs-out F]\n"
+      "  serve-bench   --reload-every N [--requests N] [--trees N] "
+      "[--bundle F] [--binary 1]\n"
+      "  serve-bench   --shards N [--tenants M] [--abusive-tenant T] "
+      "[--soak-ms D] [--baseline-ms D] [--pace-us U] [--quota-rate R] "
+      "[--quota-burst B] [--fault-rate P] [--burst-trigger P] [--burst-len N]"
+      " [--zipf-exponent S] [--p99-ratio X] [--p99-floor-us U] "
+      "[--max-error-rate P] [--admit-slack X]\n"
+      "  soak-bench    [--duration-ms D] [--qps R] [--reload-every-ms D] "
+      "[--poison-every N] [--trees N] [--bundle F] [--fault-rate P] "
+      "[--zipf-exponent S] [--diurnal-amplitude A] [--diurnal-period-ms D] "
+      "[--burst-probability P] [--cache-capacity N] [--cache-shards N] "
+      "[--min-hit-rate R] [--max-shed-rate R] [--max-p99-us U] [--letor F]\n"
       "  bundle pack   --out B [--in B] [--binary 1] [--teacher M] "
-      "[--student M] [--norm-data F] "
-      "[--rungs name:kind:us,...]\n"
+      "[--student M] [--norm-data F] [--rungs name:kind:us,...]\n"
       "  bundle unpack --in B [--out-dir D]\n"
       "  bundle verify --in B [--features K]\n"
       "  bundle bench  [--trees N] [--leaves L] [--arch AxBxC] [--features K] "
-      "[--iters I] [--min-speedup X] [--dir D]\n"
+      "[--iters I] [--min-speedup X] [--dir D] [--seed S]\n"
       "  bench-scaling [--configs small,large] [--threads 1,2,4] "
-      "[--arch AxBxC] [--features K] [--sparsity S] [--trees N] "
-      "[--repeats R] [--min-t2-ratio R] [--min-t2-ratio-small R] "
-      "[--obs 1] [--obs-out F] [--out F]\n"
+      "[--arch AxBxC] [--features K] [--queries N] [--sparsity S] "
+      "[--trees N] [--repeats R] [--seed S] [--min-t2-ratio R] "
+      "[--min-t2-ratio-small R] [--obs 1] [--obs-out F] [--out F]\n"
       "  stats         [--in F] [--check 1] [--max-overhead-pct X] "
       "[--trials T] [--features K] [--queries N] [--seed S] [--out F|-]\n");
   return 2;
