@@ -128,7 +128,7 @@ void MicroKernel6x16Avx2(uint32_t kb, const float* a_panel,
 /// the kernels later read, and the tile is fully stored by both kernels),
 /// so reuse cannot change results.
 struct GemmScratch {
-  AlignedBuffer packed_a;
+  AlignedBuffer packed_a;  // raw-A path only; prepacked A needs no scratch
   AlignedBuffer tile;
   AlignedBuffer packed_b;  // used by the caller thread only (shared panel)
 };
@@ -157,20 +157,16 @@ GemmParams GemmParams::TailoredTo(uint32_t m, uint32_t n, uint32_t k) const {
 
 namespace {
 
-/// Runs the macro-kernel for one MC-row block of A: packs the block into
-/// `packed_a` and streams its micro-panels against the already-packed B
+/// Runs the macro-kernel for one MC-row block of A: streams the micro-panels
+/// of the already-packed A block `packed_a` against the already-packed B
 /// panel, accumulating into C. This is the unit of work the parallel path
-/// distributes; `packed_a` and `tile` are scratch owned by one chunk.
-void RunMacroBlock(const Matrix& a, Matrix* c, const GemmParams& params,
+/// distributes; `tile` is scratch owned by one chunk.
+void RunMacroBlock(const float* packed_a, Matrix* c, const GemmParams& params,
                    bool use_simd, uint32_t ic, uint32_t mb, uint32_t jc,
-                   uint32_t nb, uint32_t pc, uint32_t kb,
-                   const float* packed_b, float* packed_a, float* tile) {
+                   uint32_t nb, uint32_t kb, const float* packed_b,
+                   float* tile) {
   const uint32_t mr = params.mr;
   const uint32_t nr = params.nr;
-  {
-    DNLR_OBS_SPAN(pack_span, "mm.gemm.pack_a_us");
-    PackA(a, ic, mb, pc, kb, mr, packed_a);
-  }
   DNLR_OBS_SPAN(kernel_span, "mm.gemm.kernel_us");
   // Macro-kernel: stream micro-panels of the packed blocks.
   for (uint32_t jr = 0; jr < nb; jr += nr) {
@@ -203,18 +199,18 @@ void RunMacroBlock(const Matrix& a, Matrix* c, const GemmParams& params,
   }
 }
 
-}  // namespace
-
-void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
-                    const GemmParams& raw_params, common::ThreadPool* pool) {
-  const uint32_t m = a.rows();
-  const uint32_t k = a.cols();
+/// The Goto loop nest shared by both A operands. `a_block(ic, mb, pc, kb,
+/// scratch)` returns the packed MC x KC block of the m x k A at (ic, pc):
+/// the raw-A path packs it into the executing thread's scratch, the
+/// prepacked path points into the stored panels.
+template <typename ABlockFn>
+void GemmLoop(uint32_t m, uint32_t k, const Matrix& b, Matrix* c,
+              const GemmParams& params, common::ThreadPool* pool,
+              const ABlockFn& a_block) {
   const uint32_t n = b.cols();
   DNLR_CHECK_EQ(b.rows(), k);
   DNLR_CHECK_EQ(c->rows(), m);
   DNLR_CHECK_EQ(c->cols(), n);
-
-  const GemmParams params = raw_params.TailoredTo(m, n, k);
   const uint32_t mr = params.mr;
   const uint32_t nr = params.nr;
 
@@ -239,13 +235,11 @@ void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
                         (params.min_parallel_flops == 0 ||
                          flops >= params.min_parallel_flops);
 
-  // Every executing thread packs into its own thread-local PackA block and
-  // micro-tile (reused across jc/pc iterations, ParallelFor calls, and GEMM
-  // calls — no per-call allocation); the packed-B panel lives in the
-  // caller's scratch and is shared read-only: PackB touches it only between
-  // ParallelFor barriers.
-  const size_t packed_a_floats =
-      static_cast<size_t>(RoundUp(params.mc, mr)) * params.kc;
+  // Every executing thread owns a thread-local micro-tile (and, on the
+  // raw-A path, PackA block) reused across jc/pc iterations, ParallelFor
+  // calls, and GEMM calls — no per-call allocation; the packed-B panel
+  // lives in the caller's scratch and is shared read-only: PackB touches it
+  // only between ParallelFor barriers.
   const size_t tile_floats = static_cast<size_t>(mr) * nr;
   AlignedBuffer& packed_b = LocalGemmScratch().packed_b;
   packed_b.GrowTo(static_cast<size_t>(params.kc) * RoundUp(params.nc, nr));
@@ -261,13 +255,12 @@ void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
       const auto run_blocks = [&](uint32_t /*chunk*/, uint64_t block_begin,
                                   uint64_t block_end) {
         GemmScratch& scratch = LocalGemmScratch();
-        scratch.packed_a.GrowTo(packed_a_floats);
         scratch.tile.GrowTo(tile_floats);
         for (uint64_t block = block_begin; block < block_end; ++block) {
           const uint32_t ic = static_cast<uint32_t>(block) * params.mc;
           const uint32_t mb = std::min(params.mc, m - ic);
-          RunMacroBlock(a, c, params, use_simd, ic, mb, jc, nb, pc, kb,
-                        packed_b.data(), scratch.packed_a.data(),
+          RunMacroBlock(a_block(ic, mb, pc, kb, scratch), c, params, use_simd,
+                        ic, mb, jc, nb, kb, packed_b.data(),
                         scratch.tile.data());
         }
       };
@@ -285,6 +278,68 @@ void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
   // Debug builds sweep the result for NaN/Inf: a single poisoned input
   // element silently corrupts whole output panels otherwise.
   for (size_t i = 0; i < c->size(); ++i) DNLR_DCHECK_FINITE(c->data()[i]);
+}
+
+}  // namespace
+
+size_t PackedMatrix::Offset(uint32_t ic, uint32_t pc, uint32_t kb) const {
+  // Slices are stored pc-major, each RoundUp(rows, mr) x kb; within a
+  // slice, every block before ic is a full mc x kb block (mc is a multiple
+  // of mr), so the block starts ic * kb floats in.
+  return static_cast<size_t>(pc) * RoundUp(rows_, params_.mr) +
+         static_cast<size_t>(ic) * kb;
+}
+
+const float* PackedMatrix::Block(uint32_t ic, uint32_t pc,
+                                 uint32_t kb) const {
+  return panels_.data() + Offset(ic, pc, kb);
+}
+
+PackedMatrix PackWeights(const Matrix& a, const GemmParams& params) {
+  PackedMatrix packed;
+  packed.rows_ = a.rows();
+  packed.cols_ = a.cols();
+  packed.params_ = params;
+  const uint32_t m = a.rows();
+  const uint32_t k = a.cols();
+  // n = 1: the mc / kc tailoring (all the layout depends on) ignores n.
+  const GemmParams tailored = params.TailoredTo(m, 1, k);
+  packed.panels_.Resize(static_cast<size_t>(RoundUp(m, tailored.mr)) * k);
+  for (uint32_t pc = 0; pc < k; pc += tailored.kc) {
+    const uint32_t kb = std::min(tailored.kc, k - pc);
+    for (uint32_t ic = 0; ic < m; ic += tailored.mc) {
+      const uint32_t mb = std::min(tailored.mc, m - ic);
+      PackA(a, ic, mb, pc, kb, tailored.mr,
+            packed.panels_.data() + packed.Offset(ic, pc, kb));
+    }
+  }
+  return packed;
+}
+
+void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
+                    const GemmParams& raw_params, common::ThreadPool* pool) {
+  const uint32_t m = a.rows();
+  const uint32_t k = a.cols();
+  const GemmParams params = raw_params.TailoredTo(m, b.cols(), k);
+  const size_t packed_a_floats =
+      static_cast<size_t>(RoundUp(params.mc, params.mr)) * params.kc;
+  GemmLoop(m, k, b, c, params, pool,
+           [&](uint32_t ic, uint32_t mb, uint32_t pc, uint32_t kb,
+               GemmScratch& scratch) -> const float* {
+             scratch.packed_a.GrowTo(packed_a_floats);
+             DNLR_OBS_SPAN(pack_span, "mm.gemm.pack_a_us");
+             PackA(a, ic, mb, pc, kb, params.mr, scratch.packed_a.data());
+             return scratch.packed_a.data();
+           });
+}
+
+void Gemm(const PackedMatrix& a, const Matrix& b, Matrix* c) {
+  const uint32_t m = a.rows();
+  const uint32_t k = a.cols();
+  GemmLoop(m, k, b, c, a.params().TailoredTo(m, b.cols(), k),
+           /*pool=*/nullptr,
+           [&](uint32_t ic, uint32_t /*mb*/, uint32_t pc, uint32_t kb,
+               GemmScratch& /*scratch*/) { return a.Block(ic, pc, kb); });
 }
 
 void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,

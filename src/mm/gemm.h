@@ -1,8 +1,10 @@
 #ifndef DNLR_MM_GEMM_H_
 #define DNLR_MM_GEMM_H_
 
+#include <cstddef>
 #include <cstdint>
 
+#include "common/aligned.h"
 #include "mm/matrix.h"
 
 namespace dnlr::common {
@@ -41,6 +43,41 @@ struct GemmParams {
 /// rnd_up(a, b): smallest multiple of b that is >= a (paper Section 4.2).
 uint32_t RoundUp(uint32_t a, uint32_t b);
 
+/// An A operand packed once, ahead of any multiplication: the PackA panels
+/// of every (pc, ic) macro-block, in the layout the per-call pack writes.
+/// TailoredTo sets mc from m alone and kc from k alone, so the layout does
+/// not depend on B's width n; one PackedMatrix serves every batch, and a
+/// product through it is bitwise identical to the raw-A Gemm. The neural
+/// scorers hold their constant weight matrices this way.
+class PackedMatrix {
+ public:
+  PackedMatrix() = default;
+
+  uint32_t rows() const { return rows_; }
+  uint32_t cols() const { return cols_; }
+  /// The blocking the panels were packed for (untailored).
+  const GemmParams& params() const { return params_; }
+
+  /// The packed block of rows [ic, ic + mc) and shared-dimension slice
+  /// [pc, pc + kb), where ic is a multiple of the tailored mc and pc of
+  /// the tailored kc.
+  const float* Block(uint32_t ic, uint32_t pc, uint32_t kb) const;
+
+ private:
+  friend PackedMatrix PackWeights(const Matrix& a, const GemmParams& params);
+
+  size_t Offset(uint32_t ic, uint32_t pc, uint32_t kb) const;
+
+  uint32_t rows_ = 0;
+  uint32_t cols_ = 0;
+  GemmParams params_;
+  AlignedBuffer panels_;  // RoundUp(rows, mr) * cols floats
+};
+
+/// Packs `a` for repeated use as the A operand of Gemm under `params`.
+PackedMatrix PackWeights(const Matrix& a,
+                         const GemmParams& params = GemmParams());
+
 /// C = A * B with the blocked Goto algorithm. A is m x k, B is k x n, C is
 /// m x n, all row-major. C is overwritten.
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c);
@@ -63,6 +100,10 @@ void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
 /// Parallel variant of Gemm with default blocking parameters.
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c,
           common::ThreadPool* pool);
+
+/// C = A * B with A packed ahead by PackWeights, under the blocking it was
+/// packed for: the raw-A Gemm minus its PackA step.
+void Gemm(const PackedMatrix& a, const Matrix& b, Matrix* c);
 
 /// Reference triple-loop GEMM (ablation baseline and test oracle).
 void GemmReference(const Matrix& a, const Matrix& b, Matrix* c);

@@ -10,6 +10,11 @@ namespace dnlr::nn {
 
 NeuralScorer::NeuralScorer(const Mlp& mlp, const data::ZNormalizer* normalizer,
                            NeuralScorerConfig config)
+    : NeuralScorer(mlp, normalizer, config, /*first_dense_layer=*/0) {}
+
+NeuralScorer::NeuralScorer(const Mlp& mlp, const data::ZNormalizer* normalizer,
+                           NeuralScorerConfig config,
+                           uint32_t first_dense_layer)
     : normalizer_(normalizer),
       config_(config),
       input_dim_(mlp.arch().input_dim) {
@@ -18,7 +23,9 @@ NeuralScorer::NeuralScorer(const Mlp& mlp, const data::ZNormalizer* normalizer,
     DNLR_CHECK_EQ(normalizer_->num_features(), input_dim_);
   }
   for (uint32_t l = 0; l < mlp.num_layers(); ++l) {
-    weights_.push_back(mlp.layer(l).weight);
+    weights_.push_back(l < first_dense_layer
+                           ? mm::PackedMatrix()
+                           : mm::PackWeights(mlp.layer(l).weight));
     biases_.push_back(mlp.layer(l).bias);
     layer_histograms_.push_back(&obs::MetricsRegistry::Global().GetHistogram(
         "nn.layer" + std::to_string(l) + ".dense_us"));
@@ -112,7 +119,7 @@ void NeuralScorer::Score(const float* docs, uint32_t count, uint32_t stride,
 HybridNeuralScorer::HybridNeuralScorer(const Mlp& mlp,
                                        const data::ZNormalizer* normalizer,
                                        NeuralScorerConfig config)
-    : NeuralScorer(mlp, normalizer, config),
+    : NeuralScorer(mlp, normalizer, config, /*first_dense_layer=*/1),
       first_layer_(mm::CsrMatrix::FromDense(mlp.layer(0).weight)) {
   // The first layer runs sparse here: record it under the sparse name so
   // the stats report shows the sparse / dense split per layer.

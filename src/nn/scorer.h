@@ -52,9 +52,10 @@ struct ForwardScratch {
 /// ours is the Goto-algorithm GEMM from mm/).
 class NeuralScorer : public forest::DocumentScorer {
  public:
-  /// Copies the model weights. `normalizer` may be null when inputs are
-  /// already normalized; it is captured by pointer and must outlive the
-  /// scorer.
+  /// Packs the model weights once, into the GEMM's A-panel layout, so no
+  /// batch re-packs them; the Mlp is not referenced afterwards.
+  /// `normalizer` may be null when inputs are already normalized; it is
+  /// captured by pointer and must outlive the scorer.
   NeuralScorer(const Mlp& mlp, const data::ZNormalizer* normalizer,
                NeuralScorerConfig config = NeuralScorerConfig());
 
@@ -64,6 +65,11 @@ class NeuralScorer : public forest::DocumentScorer {
              float* out) const override;
 
  protected:
+  /// Packs only layers [first_dense_layer, num_layers); earlier entries of
+  /// weights_ stay empty for a subclass that serves them another way.
+  NeuralScorer(const Mlp& mlp, const data::ZNormalizer* normalizer,
+               NeuralScorerConfig config, uint32_t first_dense_layer);
+
   /// Scores one batch already packed column-major (features x batch). The
   /// input is read in place (layer 0 consumes it directly; no copy) and the
   /// remaining layers ping-pong between the scratch buffers. Overridden by
@@ -82,7 +88,7 @@ class NeuralScorer : public forest::DocumentScorer {
                        uint64_t batch_begin, uint64_t batch_end,
                        float* out) const;
 
-  std::vector<mm::Matrix> weights_;          // per layer, out x in
+  std::vector<mm::PackedMatrix> weights_;    // per layer, out x in
   std::vector<std::vector<float>> biases_;   // per layer
   const data::ZNormalizer* normalizer_;
   NeuralScorerConfig config_;
@@ -99,9 +105,10 @@ class NeuralScorer : public forest::DocumentScorer {
 };
 
 /// The paper's hybrid engine: the (heavily pruned) first layer runs as
-/// sparse-dense multiplication over its CSR weights; all remaining layers
-/// run dense. This is the configuration that outperforms QuickScorer
-/// (Table 8, Figures 12-13).
+/// sparse-dense multiplication over its CSR weights, which are the only
+/// copy of that layer the engine keeps; all remaining layers run dense.
+/// This is the configuration that outperforms QuickScorer (Table 8,
+/// Figures 12-13).
 class HybridNeuralScorer : public NeuralScorer {
  public:
   HybridNeuralScorer(const Mlp& mlp, const data::ZNormalizer* normalizer,

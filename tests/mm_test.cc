@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 
 #include "common/rng.h"
@@ -74,8 +75,15 @@ TEST(GemmTest, TinyExactProduct) {
   EXPECT_FLOAT_EQ(c.At(1, 1), 50.0f);
 }
 
+/// Whether two same-shaped matrices hold bit-for-bit equal entries.
+bool BitwiseEqual(const Matrix& x, const Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
 // Property sweep: the blocked GEMM agrees with the reference triple loop on
-// shapes that exercise every edge case of the micro/macro blocking.
+// shapes that exercise every edge case of the micro/macro blocking, and A
+// packed once by PackWeights gives bit-for-bit the raw-A product.
 class GemmShapeTest
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
@@ -97,6 +105,11 @@ TEST_P(GemmShapeTest, MatchesReference) {
   const float tol = 1e-4f * std::sqrt(static_cast<float>(k)) + 1e-5f;
   EXPECT_LE(c.MaxAbsDiff(expected), tol)
       << "shape " << m << "x" << k << "x" << n;
+  Matrix prepacked(m, n);
+  prepacked.Fill(123.0f);
+  Gemm(PackWeights(a), b, &prepacked);
+  EXPECT_TRUE(BitwiseEqual(prepacked, c))
+      << "shape " << m << "x" << k << "x" << n;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -111,6 +124,15 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(200, 50, 1000),  // wide C
         std::make_tuple(1, 300, 40),     // single-row A
         std::make_tuple(300, 1, 40)));   // rank-1 update
+
+// Edges of the default blocking: m crosses mr = 6 and mc = 72, k crosses
+// kc = 256 (several pc slices of the packed A), n covers a single column,
+// a ragged nr tail, and the scorers' batch width.
+INSTANTIATE_TEST_SUITE_P(
+    BlockingEdges, GemmShapeTest,
+    ::testing::Combine(::testing::Values(1, 5, 73, 150),
+                       ::testing::Values(1, 255, 257, 600),
+                       ::testing::Values(1, 17, 64, 100)));
 
 TEST(GemmTest, CustomMicroTileScalarPath) {
   // A non-default micro-tile disables the SIMD kernel; results must agree.
@@ -130,6 +152,10 @@ TEST(GemmTest, CustomMicroTileScalarPath) {
   GemmWithParams(a, b, &c, params);
   GemmReference(a, b, &expected);
   EXPECT_LE(c.MaxAbsDiff(expected), 1e-3f);
+  // The packed panels follow the custom blocking they were packed for.
+  Matrix prepacked(33, 29);
+  Gemm(PackWeights(a, params), b, &prepacked);
+  EXPECT_TRUE(BitwiseEqual(prepacked, c));
 }
 
 TEST(GemmTest, OverwritesPreviousContents) {

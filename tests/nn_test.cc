@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "common/rng.h"
 #include "data/normalize.h"
 #include "data/synthetic.h"
 #include "gbdt/booster.h"
 #include "metrics/metrics.h"
+#include "mm/csr.h"
+#include "mm/gemm.h"
+#include "mm/sdmm.h"
 #include "nn/adam.h"
 #include "nn/distill.h"
 #include "nn/mlp.h"
@@ -345,6 +352,81 @@ TEST_F(DistillFixture, ScorerHandlesOddBatchSizes) {
   const auto even = scorer64.ScoreDataset(splits_->test);
   for (size_t d = 0; d < odd.size(); ++d) {
     EXPECT_NEAR(odd[d], even[d], 1e-3f);
+  }
+}
+
+// Packing the weights once must not move a single bit: dense and hybrid
+// scores equal a layer-by-layer forward pass over the raw weights through
+// the raw-A mm::Gemm (and mm::Sdmm for the hybrid's first layer), batch by
+// batch, ragged tails included. The shape crosses the default blocking:
+// layer 0 spans two kc slices (k = 300) and two mc blocks (m = 80).
+TEST(NeuralScorerParityTest, PackedWeightsMatchRawGemmForwardBitwise) {
+  const uint32_t features = 300;
+  Mlp mlp(Architecture(features, {80, 20}), 21);
+  mm::Matrix& w0 = mlp.layer(0).weight;
+  for (size_t i = 0; i < w0.size(); ++i) {
+    if (i % 4 != 0) w0.data()[i] = 0.0f;
+  }
+  const mm::CsrMatrix sparse_w0 = mm::CsrMatrix::FromDense(w0);
+  const NeuralScorer dense(mlp, nullptr);
+  const HybridNeuralScorer hybrid(mlp, nullptr);
+  const uint32_t batch_size = NeuralScorerConfig().batch_size;
+
+  // Reference forward of one batch (features x batch columns).
+  const auto forward = [&](const mm::Matrix& columns, bool sparse_first,
+                           float* out) {
+    mm::Matrix current = columns;
+    for (uint32_t l = 0; l < mlp.num_layers(); ++l) {
+      const LinearLayer& layer = mlp.layer(l);
+      mm::Matrix next(layer.weight.rows(), columns.cols());
+      if (l == 0 && sparse_first) {
+        mm::Sdmm(sparse_w0, current, &next);
+      } else {
+        mm::Gemm(layer.weight, current, &next);
+      }
+      const bool activate = l + 1 < mlp.num_layers();
+      for (uint32_t o = 0; o < next.rows(); ++o) {
+        float* row = next.Row(o);
+        for (uint32_t j = 0; j < next.cols(); ++j) {
+          row[j] += layer.bias[o];
+          if (activate) row[j] = Relu6(row[j]);
+        }
+      }
+      current = std::move(next);
+    }
+    std::copy(current.Row(0), current.Row(0) + columns.cols(), out);
+  };
+
+  Rng rng(22);
+  for (const uint32_t count : {1u, 63u, 65u, 130u}) {
+    std::vector<float> docs(static_cast<size_t>(count) * features);
+    for (float& v : docs) v = static_cast<float>(rng.Normal());
+    std::vector<float> expected_dense(count);
+    std::vector<float> expected_hybrid(count);
+    for (uint32_t start = 0; start < count; start += batch_size) {
+      const uint32_t batch = std::min(batch_size, count - start);
+      mm::Matrix columns(features, batch);
+      for (uint32_t b = 0; b < batch; ++b) {
+        for (uint32_t f = 0; f < features; ++f) {
+          columns.At(f, b) =
+              docs[static_cast<size_t>(start + b) * features + f];
+        }
+      }
+      forward(columns, /*sparse_first=*/false, expected_dense.data() + start);
+      forward(columns, /*sparse_first=*/true, expected_hybrid.data() + start);
+    }
+    std::vector<float> actual(count, -123.0f);
+    dense.Score(docs.data(), count, features, actual.data());
+    EXPECT_EQ(std::memcmp(actual.data(), expected_dense.data(),
+                          count * sizeof(float)),
+              0)
+        << "dense, count " << count;
+    std::fill(actual.begin(), actual.end(), -123.0f);
+    hybrid.Score(docs.data(), count, features, actual.data());
+    EXPECT_EQ(std::memcmp(actual.data(), expected_hybrid.data(),
+                          count * sizeof(float)),
+              0)
+        << "hybrid, count " << count;
   }
 }
 

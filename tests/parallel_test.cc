@@ -411,6 +411,46 @@ TEST(ParallelNeuralScorerTest, HybridBitwiseEqualsSerial) {
             0);
 }
 
+// One scorer's packed weights are shared read-only by every thread that
+// scores through it: four callers racing Score on one pooled hybrid scorer
+// (their batches also fan out over the pool) all get the serial scores.
+TEST(ParallelNeuralScorerTest, ConcurrentCallersShareOnePackedScorer) {
+  const uint32_t stride = 24;
+  nn::Mlp mlp(predict::Architecture(stride, {80, 80, 8}), 5);
+  nn::WeightMasks masks = prune::MakeDenseMasks(mlp);
+  prune::LevelPruneLayer(&mlp, 0, 0.9, &masks);
+
+  const uint32_t count = 300;
+  const std::vector<float> docs = RandomDocs(count, stride, 12);
+  const nn::HybridNeuralScorer serial(mlp, nullptr);
+  std::vector<float> expected(count);
+  serial.Score(docs.data(), count, stride, expected.data());
+
+  ThreadPool pool(3);
+  nn::NeuralScorerConfig config;
+  config.pool = &pool;
+  const nn::HybridNeuralScorer shared(mlp, nullptr, config);
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 5;
+  std::vector<std::vector<float>> actual(
+      kCallers, std::vector<float>(count, -123.0f));
+  std::vector<int> mismatches(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        shared.Score(docs.data(), count, stride, actual[t].data());
+        mismatches[t] += std::memcmp(expected.data(), actual[t].data(),
+                                     count * sizeof(float)) != 0;
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (int t = 0; t < kCallers; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "caller " << t;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ParallelEnsembleScorer: chunked traversal equals the inner scorer.
 

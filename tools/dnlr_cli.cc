@@ -1507,7 +1507,6 @@ int CmdBenchScaling(const Args& args) {
     // T>1 rows, so the crossover the bench applies is the one a production
     // caller would compute from the same measurements.
     double dense_serial_us = 0.0;
-    double hybrid_serial_us = 0.0;
     double tree_serial_us = 0.0;
 
     for (const uint32_t t : thread_counts) {
@@ -1559,7 +1558,6 @@ int CmdBenchScaling(const Args& args) {
           core::MeasureScorerMicrosPerDoc(tree, dataset, repeats);
       if (t == 1) {
         dense_serial_us = dense_us;
-        hybrid_serial_us = hybrid_us;
         tree_serial_us = tree_us;
       }
       row.dense_docs_per_s = 1e6 / dense_us;
@@ -1573,9 +1571,6 @@ int CmdBenchScaling(const Args& args) {
                    row.dense_docs_per_s, row.hybrid_docs_per_s,
                    row.tree_docs_per_s);
     }
-    // hybrid_serial_us only feeds the T=1 log line today; keep measuring it
-    // so the serial baseline triple stays complete in the JSON.
-    (void)hybrid_serial_us;
     reports.push_back(std::move(report));
   }
 
