@@ -45,8 +45,8 @@ class AlignedBuffer {
   /// Resizes to hold `count` floats. Contents are NOT preserved and the new
   /// storage is zero-initialized. Shrinking (or growing within the existing
   /// allocation) reuses the storage instead of reallocating, so buffers that
-  /// are resized per batch — the scorers' ping-pong activation buffers —
-  /// stop hitting the allocator once they reach their high-water mark.
+  /// are resized repeatedly stop hitting the allocator once they reach their
+  /// high-water mark.
   void Resize(size_t count) {
     if (count > capacity_) {
       Free();
@@ -66,8 +66,9 @@ class AlignedBuffer {
   /// Ensures the buffer holds at least `count` floats WITHOUT the zero-fill
   /// Resize performs on reuse: fresh allocations are zeroed once, reused
   /// storage keeps its previous contents. For write-before-read scratch
-  /// (the GEMM packing buffers, which fully overwrite every region they
-  /// later read), this turns the per-call cost into a capacity check.
+  /// (the GEMM packing buffers and mm::PanelMatrix activations, which fully
+  /// overwrite every region they later read), this turns the per-call cost
+  /// into a capacity check.
   void GrowTo(size_t count) {
     if (count > capacity_) {
       Resize(count);

@@ -24,9 +24,10 @@ ZNormalizer::ZNormalizer(std::vector<float> mean, std::vector<float> stddev)
   }
 }
 
-void ZNormalizer::Apply(float* row) const {
+void ZNormalizer::ApplyTo(const float* row, float* out,
+                          size_t out_stride) const {
   for (size_t f = 0; f < mean_.size(); ++f) {
-    row[f] = (row[f] - mean_[f]) / stddev_[f];
+    out[f * out_stride] = (row[f] - mean_[f]) / stddev_[f];
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef DNLR_DATA_NORMALIZE_H_
 #define DNLR_DATA_NORMALIZE_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,7 +28,12 @@ class ZNormalizer {
   ZNormalizer(std::vector<float> mean, std::vector<float> stddev);
 
   /// Normalizes one feature vector in place.
-  void Apply(float* row) const;
+  void Apply(float* row) const { ApplyTo(row, row, 1); }
+
+  /// Writes the normalized `row` to out[f * out_stride] (a column of a
+  /// panel-layout batch, for the neural scorers); `out` may equal `row`
+  /// when out_stride is 1.
+  void ApplyTo(const float* row, float* out, size_t out_stride) const;
 
   /// Returns a normalized copy of the whole dataset.
   Dataset Transform(const Dataset& input) const;

@@ -130,7 +130,7 @@ void MicroKernel6x16Avx2(uint32_t kb, const float* a_panel,
 struct GemmScratch {
   AlignedBuffer packed_a;  // raw-A path only; prepacked A needs no scratch
   AlignedBuffer tile;
-  AlignedBuffer packed_b;  // used by the caller thread only (shared panel)
+  AlignedBuffer packed_b;  // raw-A path, caller thread only (shared panel)
 };
 
 GemmScratch& LocalGemmScratch() {
@@ -157,21 +157,33 @@ GemmParams GemmParams::TailoredTo(uint32_t m, uint32_t n, uint32_t k) const {
 
 namespace {
 
+/// The packed B operand of one (jc, pc) iteration as the macro-kernel reads
+/// it: the kb x nr micro-panel of columns [jc + jr, jc + jr + nr) starts at
+/// data + (jr / nr) * panel_stride. The raw-A path points it at the panel
+/// PackB just built; GemmLayer points it into X's own panels.
+struct BPanels {
+  const float* data;
+  size_t panel_stride;
+};
+
 /// Runs the macro-kernel for one MC-row block of A: streams the micro-panels
-/// of the already-packed A block `packed_a` against the already-packed B
-/// panel, accumulating into C. This is the unit of work the parallel path
-/// distributes; `tile` is scratch owned by one chunk.
-void RunMacroBlock(const float* packed_a, Matrix* c, const GemmParams& params,
+/// of the already-packed A block `packed_a` against the B panels and hands
+/// every finished register tile to `store_tile(pc, kb, row0, rows, col0,
+/// cols, tile)`, which owns the epilogue. This is the unit of work the
+/// parallel path distributes; `tile` is scratch owned by one chunk.
+template <typename StoreTileFn>
+void RunMacroBlock(const float* packed_a, const GemmParams& params,
                    bool use_simd, uint32_t ic, uint32_t mb, uint32_t jc,
-                   uint32_t nb, uint32_t kb, const float* packed_b,
-                   float* tile) {
+                   uint32_t nb, uint32_t pc, uint32_t kb, BPanels b,
+                   float* tile, const StoreTileFn& store_tile) {
   const uint32_t mr = params.mr;
   const uint32_t nr = params.nr;
   DNLR_OBS_SPAN(kernel_span, "mm.gemm.kernel_us");
   // Macro-kernel: stream micro-panels of the packed blocks.
   for (uint32_t jr = 0; jr < nb; jr += nr) {
     const uint32_t cols = std::min(nr, nb - jr);
-    const float* b_panel = packed_b + static_cast<size_t>(jr / nr) * kb * nr;
+    const float* b_panel =
+        b.data + static_cast<size_t>(jr / nr) * b.panel_stride;
     for (uint32_t ir = 0; ir < mb; ir += mr) {
       const uint32_t rows = std::min(mr, mb - ir);
       const float* a_panel = packed_a + static_cast<size_t>(ir / mr) * kb * mr;
@@ -187,36 +199,26 @@ void RunMacroBlock(const float* packed_a, Matrix* c, const GemmParams& params,
       std::memset(tile, 0, sizeof(float) * mr * nr);
       MicroKernelScalar(kb, mr, nr, a_panel, b_panel, tile);
 #endif
-      // Accumulate the valid part of the tile into C.
-      for (uint32_t r = 0; r < rows; ++r) {
-        float* c_row = c->Row(ic + ir + r) + jc + jr;
-        const float* tile_row = tile + static_cast<size_t>(r) * nr;
-        for (uint32_t col = 0; col < cols; ++col) {
-          c_row[col] += tile_row[col];
-        }
-      }
+      store_tile(pc, kb, ic + ir, rows, jc + jr, cols, tile);
     }
   }
 }
 
-/// The Goto loop nest shared by both A operands. `a_block(ic, mb, pc, kb,
-/// scratch)` returns the packed MC x KC block of the m x k A at (ic, pc):
-/// the raw-A path packs it into the executing thread's scratch, the
-/// prepacked path points into the stored panels.
-template <typename ABlockFn>
-void GemmLoop(uint32_t m, uint32_t k, const Matrix& b, Matrix* c,
-              const GemmParams& params, common::ThreadPool* pool,
-              const ABlockFn& a_block) {
-  const uint32_t n = b.cols();
-  DNLR_CHECK_EQ(b.rows(), k);
-  DNLR_CHECK_EQ(c->rows(), m);
-  DNLR_CHECK_EQ(c->cols(), n);
+/// The Goto loop nest shared by every GEMM entry point. `a_block(ic, mb,
+/// pc, kb, scratch)` returns the packed MC x KC block of the m x k A at
+/// (ic, pc): the raw-A path packs it into the executing thread's scratch,
+/// the prepacked path points into the stored panels. `b_block(jc, nb, pc,
+/// kb)` returns the packed B panels of that (jc, pc) iteration, on the
+/// calling thread. `store_tile` is the epilogue (see RunMacroBlock).
+template <typename ABlockFn, typename BBlockFn, typename StoreTileFn>
+void GemmLoop(uint32_t m, uint32_t k, uint32_t n, const GemmParams& params,
+              common::ThreadPool* pool, const ABlockFn& a_block,
+              const BBlockFn& b_block, const StoreTileFn& store_tile) {
   const uint32_t mr = params.mr;
   const uint32_t nr = params.nr;
 
   DNLR_OBS_COUNT("mm.gemm.calls", 1);
   DNLR_OBS_SPAN(gemm_span, "mm.gemm.total_us");
-  c->Fill(0.0f);
   if (m == 0 || n == 0 || k == 0) return;
 
 #ifdef DNLR_GEMM_SIMD
@@ -237,21 +239,14 @@ void GemmLoop(uint32_t m, uint32_t k, const Matrix& b, Matrix* c,
 
   // Every executing thread owns a thread-local micro-tile (and, on the
   // raw-A path, PackA block) reused across jc/pc iterations, ParallelFor
-  // calls, and GEMM calls — no per-call allocation; the packed-B panel
-  // lives in the caller's scratch and is shared read-only: PackB touches it
-  // only between ParallelFor barriers.
+  // calls, and GEMM calls — no per-call allocation. The B panels are shared
+  // read-only: b_block runs only between ParallelFor barriers.
   const size_t tile_floats = static_cast<size_t>(mr) * nr;
-  AlignedBuffer& packed_b = LocalGemmScratch().packed_b;
-  packed_b.GrowTo(static_cast<size_t>(params.kc) * RoundUp(params.nc, nr));
-
   for (uint32_t jc = 0; jc < n; jc += params.nc) {
     const uint32_t nb = std::min(params.nc, n - jc);
     for (uint32_t pc = 0; pc < k; pc += params.kc) {
       const uint32_t kb = std::min(params.kc, k - pc);
-      {
-        DNLR_OBS_SPAN(pack_span, "mm.gemm.pack_b_us");
-        PackB(b, pc, kb, jc, nb, nr, packed_b.data());
-      }
+      const BPanels b = b_block(jc, nb, pc, kb);
       const auto run_blocks = [&](uint32_t /*chunk*/, uint64_t block_begin,
                                   uint64_t block_end) {
         GemmScratch& scratch = LocalGemmScratch();
@@ -259,9 +254,9 @@ void GemmLoop(uint32_t m, uint32_t k, const Matrix& b, Matrix* c,
         for (uint64_t block = block_begin; block < block_end; ++block) {
           const uint32_t ic = static_cast<uint32_t>(block) * params.mc;
           const uint32_t mb = std::min(params.mc, m - ic);
-          RunMacroBlock(a_block(ic, mb, pc, kb, scratch), c, params, use_simd,
-                        ic, mb, jc, nb, kb, packed_b.data(),
-                        scratch.tile.data());
+          RunMacroBlock(a_block(ic, mb, pc, kb, scratch), params, use_simd,
+                        ic, mb, jc, nb, pc, kb, b, scratch.tile.data(),
+                        store_tile);
         }
       };
       if (parallel) {
@@ -275,9 +270,35 @@ void GemmLoop(uint32_t m, uint32_t k, const Matrix& b, Matrix* c,
       }
     }
   }
-  // Debug builds sweep the result for NaN/Inf: a single poisoned input
-  // element silently corrupts whole output panels otherwise.
-  for (size_t i = 0; i < c->size(); ++i) DNLR_DCHECK_FINITE(c->data()[i]);
+}
+
+/// GemmLayer's epilogue for one register tile of slice pc: rows [row0, row0
+/// + rows) of the tile go to `out` (Y's panel, at row row0) as (0 + tile)
+/// on the first slice and Y + tile after it, the raw-A path's order; the
+/// last slice then applies bias + activation. All nr columns are written,
+/// so the padding of Y's last panel ends up finite.
+void StoreLayerTile(const LayerEpilogue& epilogue, bool first, bool last,
+                    uint32_t row0, uint32_t rows, uint32_t nr,
+                    const float* tile, float* out) {
+  for (uint32_t r = 0; r < rows; ++r) {
+    const float* tile_row = tile + static_cast<size_t>(r) * nr;
+    float* out_row = out + static_cast<size_t>(r) * nr;
+    uint32_t col = 0;
+#ifdef DNLR_GEMM_SIMD
+    for (; col + 8 <= nr; col += 8) {
+      __m256 v = _mm256_add_ps(
+          first ? _mm256_setzero_ps() : _mm256_loadu_ps(out_row + col),
+          _mm256_loadu_ps(tile_row + col));
+      if (last) v = epilogue.Apply(row0 + r, v);
+      _mm256_storeu_ps(out_row + col, v);
+    }
+#endif
+    for (; col < nr; ++col) {
+      float v = (first ? 0.0f : out_row[col]) + tile_row[col];
+      if (last) v = epilogue.Apply(row0 + r, v);
+      out_row[col] = v;
+    }
+  }
 }
 
 }  // namespace
@@ -320,26 +341,78 @@ void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
                     const GemmParams& raw_params, common::ThreadPool* pool) {
   const uint32_t m = a.rows();
   const uint32_t k = a.cols();
-  const GemmParams params = raw_params.TailoredTo(m, b.cols(), k);
+  const uint32_t n = b.cols();
+  DNLR_CHECK_EQ(b.rows(), k);
+  DNLR_CHECK_EQ(c->rows(), m);
+  DNLR_CHECK_EQ(c->cols(), n);
+  const GemmParams params = raw_params.TailoredTo(m, n, k);
+  const uint32_t nr = params.nr;
   const size_t packed_a_floats =
       static_cast<size_t>(RoundUp(params.mc, params.mr)) * params.kc;
-  GemmLoop(m, k, b, c, params, pool,
-           [&](uint32_t ic, uint32_t mb, uint32_t pc, uint32_t kb,
-               GemmScratch& scratch) -> const float* {
-             scratch.packed_a.GrowTo(packed_a_floats);
-             DNLR_OBS_SPAN(pack_span, "mm.gemm.pack_a_us");
-             PackA(a, ic, mb, pc, kb, params.mr, scratch.packed_a.data());
-             return scratch.packed_a.data();
-           });
+  // The packed-B panel lives in the caller's scratch; PackB refills it once
+  // per (jc, pc) iteration, between ParallelFor barriers.
+  AlignedBuffer& packed_b = LocalGemmScratch().packed_b;
+  packed_b.GrowTo(static_cast<size_t>(params.kc) * RoundUp(params.nc, nr));
+  c->Fill(0.0f);
+  GemmLoop(
+      m, k, n, params, pool,
+      [&](uint32_t ic, uint32_t mb, uint32_t pc, uint32_t kb,
+          GemmScratch& scratch) -> const float* {
+        scratch.packed_a.GrowTo(packed_a_floats);
+        DNLR_OBS_SPAN(pack_span, "mm.gemm.pack_a_us");
+        PackA(a, ic, mb, pc, kb, params.mr, scratch.packed_a.data());
+        return scratch.packed_a.data();
+      },
+      [&](uint32_t jc, uint32_t nb, uint32_t pc, uint32_t kb) {
+        DNLR_OBS_SPAN(pack_span, "mm.gemm.pack_b_us");
+        PackB(b, pc, kb, jc, nb, nr, packed_b.data());
+        return BPanels{packed_b.data(), static_cast<size_t>(kb) * nr};
+      },
+      [&](uint32_t /*pc*/, uint32_t /*kb*/, uint32_t row0, uint32_t rows,
+          uint32_t col0, uint32_t cols, const float* tile) {
+        // Accumulate the valid part of the tile into C.
+        for (uint32_t r = 0; r < rows; ++r) {
+          float* c_row = c->Row(row0 + r) + col0;
+          const float* tile_row = tile + static_cast<size_t>(r) * nr;
+          for (uint32_t col = 0; col < cols; ++col) {
+            c_row[col] += tile_row[col];
+          }
+        }
+      });
+  // Debug builds sweep the result for NaN/Inf: a single poisoned input
+  // element silently corrupts whole output panels otherwise.
+  for (size_t i = 0; i < c->size(); ++i) DNLR_DCHECK_FINITE(c->data()[i]);
 }
 
-void Gemm(const PackedMatrix& a, const Matrix& b, Matrix* c) {
+void GemmLayer(const PackedMatrix& a, const PanelMatrix& x,
+               const LayerEpilogue& epilogue, PanelMatrix* y) {
   const uint32_t m = a.rows();
   const uint32_t k = a.cols();
-  GemmLoop(m, k, b, c, a.params().TailoredTo(m, b.cols(), k),
-           /*pool=*/nullptr,
-           [&](uint32_t ic, uint32_t /*mb*/, uint32_t pc, uint32_t kb,
-               GemmScratch& /*scratch*/) { return a.Block(ic, pc, kb); });
+  const uint32_t n = x.cols();
+  const GemmParams params = a.params().TailoredTo(m, n, k);
+  const uint32_t nr = params.nr;
+  DNLR_CHECK_EQ(x.rows(), k);
+  DNLR_CHECK_EQ(x.nr(), nr);
+  DNLR_CHECK_GT(k, 0u);
+  y->Reshape(m, n, nr);
+  // X's panels already are the packed B: slice [pc, pc + kb) of panel p
+  // starts pc * nr floats into it, and panels are k * nr floats apart.
+  const size_t x_panel_stride = static_cast<size_t>(k) * nr;
+  GemmLoop(
+      m, k, n, params, /*pool=*/nullptr,
+      [&](uint32_t ic, uint32_t /*mb*/, uint32_t pc, uint32_t kb,
+          GemmScratch& /*scratch*/) { return a.Block(ic, pc, kb); },
+      [&](uint32_t jc, uint32_t /*nb*/, uint32_t pc, uint32_t /*kb*/) {
+        return BPanels{x.Panel(jc / nr) + static_cast<size_t>(pc) * nr,
+                       x_panel_stride};
+      },
+      [&](uint32_t pc, uint32_t kb, uint32_t row0, uint32_t rows,
+          uint32_t col0, uint32_t /*cols*/, const float* tile) {
+        StoreLayerTile(epilogue, pc == 0, pc + kb == k, row0, rows, nr, tile,
+                       y->Panel(col0 / nr) + static_cast<size_t>(row0) * nr);
+      });
+  // Debug builds sweep the result, padding included, for NaN/Inf.
+  for (size_t i = 0; i < y->size(); ++i) DNLR_DCHECK_FINITE(y->Panel(0)[i]);
 }
 
 void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
@@ -382,10 +455,28 @@ bool GemmHasSimd() {
 #endif
 }
 
-double MeasureGemmGflops(uint32_t m, uint32_t k, uint32_t n, int repeats,
-                         uint64_t seed, common::ThreadPool* pool) {
-  return MeasureGemmGflopsWithParams(GemmParams(), m, k, n, repeats, seed,
-                                     pool);
+double MeasureGemmGflops(uint32_t m, uint32_t k, uint32_t n, int repeats) {
+  // The served kernel: weights packed once, outside the timed region, and
+  // a ReLU6 layer over panel-resident activations.
+  Rng rng(99);
+  Matrix a(m, k);
+  a.FillUniform(rng);
+  const PackedMatrix packed = PackWeights(a);
+  PanelMatrix x;
+  x.Reshape(k, n, packed.params().nr);
+  for (uint32_t j = 0; j < x.padded_cols(); ++j) {
+    for (uint32_t r = 0; r < k; ++r) {
+      x.At(r, j) = static_cast<float>(rng.Uniform(-1.0, 1.0));
+    }
+  }
+  std::vector<float> bias(m);
+  for (float& value : bias) value = static_cast<float>(rng.Uniform(-1.0, 1.0));
+  const LayerEpilogue epilogue{bias.data(), /*relu6=*/true};
+  PanelMatrix y;
+  const double micros =
+      TimeMicros([&] { GemmLayer(packed, x, epilogue, &y); }, repeats);
+  const double flops = 2.0 * m * n * k;
+  return flops / (micros * 1e-6) / 1e9;
 }
 
 double MeasureGemmGflopsWithParams(const GemmParams& params, uint32_t m,

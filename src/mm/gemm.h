@@ -6,6 +6,7 @@
 
 #include "common/aligned.h"
 #include "mm/matrix.h"
+#include "mm/panel.h"
 
 namespace dnlr::common {
 class ThreadPool;
@@ -47,8 +48,9 @@ uint32_t RoundUp(uint32_t a, uint32_t b);
 /// of every (pc, ic) macro-block, in the layout the per-call pack writes.
 /// TailoredTo sets mc from m alone and kc from k alone, so the layout does
 /// not depend on B's width n; one PackedMatrix serves every batch, and a
-/// product through it is bitwise identical to the raw-A Gemm. The neural
-/// scorers hold their constant weight matrices this way.
+/// GemmLayer through it is bitwise identical to the raw-A Gemm plus a bias
+/// + activation pass. The neural scorers hold their constant weight
+/// matrices this way.
 class PackedMatrix {
  public:
   PackedMatrix() = default;
@@ -101,9 +103,17 @@ void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c,
           common::ThreadPool* pool);
 
-/// C = A * B with A packed ahead by PackWeights, under the blocking it was
-/// packed for: the raw-A Gemm minus its PackA step.
-void Gemm(const PackedMatrix& a, const Matrix& b, Matrix* c);
+/// One dense layer of the served forward pass, Y = act(A * X + bias), with
+/// A packed ahead by PackWeights and X, Y in panel layout (X's panel width
+/// must be the nr A was packed for). The kernel reads X's panels in place,
+/// with no PackB, and its epilogue writes each register tile straight into
+/// Y's panels, padding columns included. A k > kc layer sums its slices as
+/// (0 + tile_pc0) + tile_pc1 + ... before the bias, the order the raw-A
+/// Gemm accumulates into its zero-filled C, so Y equals the raw-A product
+/// followed by a separate bias + activation pass, bit for bit. Y is
+/// reshaped to A.rows() x X.cols().
+void GemmLayer(const PackedMatrix& a, const PanelMatrix& x,
+               const LayerEpilogue& epilogue, PanelMatrix* y);
 
 /// Reference triple-loop GEMM (ablation baseline and test oracle).
 void GemmReference(const Matrix& a, const Matrix& b, Matrix* c);
@@ -111,16 +121,18 @@ void GemmReference(const Matrix& a, const Matrix& b, Matrix* c);
 /// Whether the AVX2+FMA micro-kernel is compiled in.
 bool GemmHasSimd();
 
-/// Measured GFLOPS of C = A*B at the given shape: runs the multiplication
-/// `repeats` times and reports 2*m*n*k / best_time. Used to build the dense
-/// time predictor's calibration table (Figures 4-6). A non-null `pool`
-/// measures the parallel kernel (the bench-scaling probe).
-double MeasureGemmGflops(uint32_t m, uint32_t k, uint32_t n, int repeats = 3,
-                         uint64_t seed = 99, common::ThreadPool* pool = nullptr);
+/// Measured GFLOPS of the kernel the neural scorers serve: GemmLayer over
+/// an m x k weight matrix packed outside the timed region, a k x n
+/// panel-resident X and the ReLU6 epilogue. Runs it `repeats` times and
+/// reports 2*m*n*k over the median time (TimeMicros). Used to build the
+/// dense time predictor's calibration table.
+double MeasureGemmGflops(uint32_t m, uint32_t k, uint32_t n, int repeats = 3);
 
-/// MeasureGemmGflops with explicit blocking parameters. The parallel-
-/// crossover calibration uses this with min_parallel_flops = 0 to force the
-/// parallel kernel on shapes the default gate would keep serial.
+/// Measured GFLOPS of the raw-A GemmWithParams (serial, or parallel over
+/// `pool`) under explicit blocking parameters, packing included: the tuning
+/// ablation, the Figure 4-6 benches, and the parallel-crossover calibration,
+/// which passes min_parallel_flops = 0 to force the parallel kernel on
+/// shapes the default gate would keep serial.
 double MeasureGemmGflopsWithParams(const GemmParams& params, uint32_t m,
                                    uint32_t k, uint32_t n, int repeats = 3,
                                    uint64_t seed = 99,

@@ -44,16 +44,6 @@ class Matrix {
     return data()[static_cast<size_t>(r) * cols_ + c];
   }
 
-  /// Changes the shape, zeroing the contents. Reuses the existing storage
-  /// when it is large enough (see AlignedBuffer::Resize), so matrices that
-  /// serve as reusable scratch — the scorers' ping-pong activation buffers —
-  /// reshape without reallocating once warm.
-  void Reshape(uint32_t rows, uint32_t cols) {
-    rows_ = rows;
-    cols_ = cols;
-    storage_.Resize(static_cast<size_t>(rows) * cols);
-  }
-
   /// Sets every entry to `value`.
   void Fill(float value) {
     for (size_t i = 0; i < size(); ++i) data()[i] = value;

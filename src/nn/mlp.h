@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "mm/matrix.h"
+#include "mm/panel.h"
 #include "predict/architecture.h"
 
 namespace dnlr::nn {
@@ -22,8 +23,9 @@ struct LinearLayer {
 };
 
 /// ReLU6(x) = min(max(x, 0), 6), the activation the paper uses after every
-/// layer except the last.
-inline float Relu6(float x) { return x < 0.0f ? 0.0f : (x > 6.0f ? 6.0f : x); }
+/// layer except the last. One definition serves training, the scalar
+/// reference forward pass and the fused layer kernels' epilogue.
+using mm::Relu6;
 
 /// Derivative of ReLU6 (zero outside the open interval (0, 6)).
 inline float Relu6Grad(float x) {

@@ -10,86 +10,93 @@ namespace dnlr::nn {
 
 NeuralScorer::NeuralScorer(const Mlp& mlp, const data::ZNormalizer* normalizer,
                            NeuralScorerConfig config)
-    : NeuralScorer(mlp, normalizer, config, /*first_dense_layer=*/0) {}
+    : NeuralScorer(mlp, normalizer, config, /*sparse_first_layer=*/false) {}
 
 NeuralScorer::NeuralScorer(const Mlp& mlp, const data::ZNormalizer* normalizer,
-                           NeuralScorerConfig config,
-                           uint32_t first_dense_layer)
-    : normalizer_(normalizer),
+                           NeuralScorerConfig config, bool sparse_first_layer)
+    : first_layer_sparse_(sparse_first_layer),
+      normalizer_(normalizer),
       config_(config),
       input_dim_(mlp.arch().input_dim) {
   DNLR_CHECK_GT(config_.batch_size, 0u);
   if (normalizer_ != nullptr) {
     DNLR_CHECK_EQ(normalizer_->num_features(), input_dim_);
   }
+  if (first_layer_sparse_) {
+    first_layer_csr_ = mm::CsrMatrix::FromDense(mlp.layer(0).weight);
+  }
   for (uint32_t l = 0; l < mlp.num_layers(); ++l) {
-    weights_.push_back(l < first_dense_layer
-                           ? mm::PackedMatrix()
-                           : mm::PackWeights(mlp.layer(l).weight));
+    const bool sparse = l == 0 && first_layer_sparse_;
+    weights_.push_back(sparse ? mm::PackedMatrix()
+                              : mm::PackWeights(mlp.layer(l).weight));
     biases_.push_back(mlp.layer(l).bias);
     layer_histograms_.push_back(&obs::MetricsRegistry::Global().GetHistogram(
-        "nn.layer" + std::to_string(l) + ".dense_us"));
+        "nn.layer" + std::to_string(l) +
+        (sparse ? ".sparse_us" : ".dense_us")));
   }
   forward_histogram_ =
       &obs::MetricsRegistry::Global().GetHistogram("nn.forward_us");
 }
 
-void NeuralScorer::BiasActivate(const std::vector<float>& bias, bool activate,
-                                mm::Matrix* z) {
-  for (uint32_t o = 0; o < z->rows(); ++o) {
-    float* row = z->Row(o);
-    const float b = bias[o];
-    if (activate) {
-      for (uint32_t j = 0; j < z->cols(); ++j) row[j] = Relu6(row[j] + b);
-    } else {
-      for (uint32_t j = 0; j < z->cols(); ++j) row[j] += b;
-    }
-  }
-}
-
-void NeuralScorer::ForwardColumns(const mm::Matrix& input_columns,
-                                  ForwardScratch* scratch, float* out) const {
-  const uint32_t batch = input_columns.cols();
-  // Layer 0 reads the packed input in place; each later layer reads the
-  // previous layer's buffer and writes the other one (ping-pong), so no
-  // layer allocates once the scratch reaches its high-water size.
-  const mm::Matrix* current = &input_columns;
-  mm::Matrix* buffers[2] = {&scratch->ping, &scratch->pong};
+void NeuralScorer::ForwardColumns(ForwardScratch* scratch, float* out) const {
+  const uint32_t batch = scratch->input.cols();
+  // Layer 0 reads the input panels in place; each later layer reads the
+  // previous layer's buffer and writes the other one (ping-pong). Every
+  // kernel's epilogue adds the bias and, below the scoring layer, applies
+  // ReLU6 on its way into the next layer's panels.
+  const mm::PanelMatrix* current = &scratch->input;
+  mm::PanelMatrix* buffers[2] = {&scratch->ping, &scratch->pong};
   obs::TraceSpan forward_span(forward_histogram_);
   for (size_t l = 0; l < weights_.size(); ++l) {
     obs::TraceSpan layer_span(layer_histograms_[l]);
-    mm::Matrix* next = buffers[l % 2];
-    next->Reshape(weights_[l].rows(), batch);
-    mm::Gemm(weights_[l], *current, next);
-    BiasActivate(biases_[l], /*activate=*/l + 1 < weights_.size(), next);
+    mm::PanelMatrix* next = buffers[l % 2];
+    const mm::LayerEpilogue epilogue{biases_[l].data(),
+                                     /*relu6=*/l + 1 < weights_.size()};
+    if (l == 0 && first_layer_sparse_) {
+      mm::SdmmLayer(first_layer_csr_, *current, epilogue, next);
+    } else {
+      mm::GemmLayer(weights_[l], *current, epilogue, next);
+    }
     current = next;
   }
-  // Final layer has a single output row: the scores.
-  const float* scores = current->Row(0);
-  std::copy(scores, scores + batch, out);
+  // The scoring layer has a single output row: row 0 of each panel.
+  const uint32_t nr = current->nr();
+  for (uint32_t p = 0; p < current->num_panels(); ++p) {
+    const float* scores = current->Panel(p);
+    const uint32_t first = p * nr;
+    std::copy(scores, scores + std::min(nr, batch - first), out + first);
+  }
 }
 
 void NeuralScorer::ScoreBatchRange(const float* docs, uint32_t count,
                                    uint32_t stride, uint64_t batch_begin,
                                    uint64_t batch_end, float* out) const {
-  std::vector<float> normalized(input_dim_);
+  // The panel width the weights were packed for (PackWeights' default
+  // blocking), which GemmLayer requires of its input.
+  const uint32_t nr = mm::GemmParams().nr;
   ForwardScratch scratch;
-  mm::Matrix columns;
+  mm::PanelMatrix& input = scratch.input;
   for (uint64_t bi = batch_begin; bi < batch_end; ++bi) {
     const uint32_t start = static_cast<uint32_t>(bi) * config_.batch_size;
     const uint32_t batch = std::min(config_.batch_size, count - start);
-    // Pack documents as columns of B (features x batch), normalizing on the
-    // way in.
-    columns.Reshape(input_dim_, batch);
+    // Each document becomes one panel column (features x batch),
+    // normalized on the way in; padding columns are zeroed so every layer
+    // multiplies finite values.
+    input.Reshape(input_dim_, batch, nr);
     for (uint32_t b = 0; b < batch; ++b) {
       const float* row = docs + static_cast<size_t>(start + b) * stride;
-      std::copy(row, row + input_dim_, normalized.begin());
-      if (normalizer_ != nullptr) normalizer_->Apply(normalized.data());
-      for (uint32_t f = 0; f < input_dim_; ++f) {
-        columns.At(f, b) = normalized[f];
+      float* column = input.Col(b);
+      if (normalizer_ != nullptr) {
+        normalizer_->ApplyTo(row, column, nr);
+      } else {
+        for (uint32_t f = 0; f < input_dim_; ++f) column[f * nr] = row[f];
       }
     }
-    ForwardColumns(columns, &scratch, out + start);
+    for (uint32_t b = batch; b < input.padded_cols(); ++b) {
+      float* column = input.Col(b);
+      for (uint32_t f = 0; f < input_dim_; ++f) column[f * nr] = 0.0f;
+    }
+    ForwardColumns(&scratch, out + start);
   }
 }
 
@@ -119,39 +126,6 @@ void NeuralScorer::Score(const float* docs, uint32_t count, uint32_t stride,
 HybridNeuralScorer::HybridNeuralScorer(const Mlp& mlp,
                                        const data::ZNormalizer* normalizer,
                                        NeuralScorerConfig config)
-    : NeuralScorer(mlp, normalizer, config, /*first_dense_layer=*/1),
-      first_layer_(mm::CsrMatrix::FromDense(mlp.layer(0).weight)) {
-  // The first layer runs sparse here: record it under the sparse name so
-  // the stats report shows the sparse / dense split per layer.
-  layer_histograms_[0] =
-      &obs::MetricsRegistry::Global().GetHistogram("nn.layer0.sparse_us");
-}
-
-void HybridNeuralScorer::ForwardColumns(const mm::Matrix& input_columns,
-                                        ForwardScratch* scratch,
-                                        float* out) const {
-  const uint32_t batch = input_columns.cols();
-  mm::Matrix* buffers[2] = {&scratch->ping, &scratch->pong};
-  obs::TraceSpan forward_span(forward_histogram_);
-  // First layer: sparse weights x dense input columns, read in place.
-  mm::Matrix* current = buffers[0];
-  {
-    obs::TraceSpan layer_span(layer_histograms_[0]);
-    current->Reshape(first_layer_.rows(), batch);
-    mm::Sdmm(first_layer_, input_columns, current);
-    BiasActivate(biases_[0], /*activate=*/weights_.size() > 1, current);
-  }
-  // Remaining layers: dense, ping-ponging between the two buffers.
-  for (size_t l = 1; l < weights_.size(); ++l) {
-    obs::TraceSpan layer_span(layer_histograms_[l]);
-    mm::Matrix* next = buffers[l % 2];
-    next->Reshape(weights_[l].rows(), batch);
-    mm::Gemm(weights_[l], *current, next);
-    BiasActivate(biases_[l], /*activate=*/l + 1 < weights_.size(), next);
-    current = next;
-  }
-  const float* scores = current->Row(0);
-  std::copy(scores, scores + batch, out);
-}
+    : NeuralScorer(mlp, normalizer, config, /*sparse_first_layer=*/true) {}
 
 }  // namespace dnlr::nn

@@ -8,6 +8,7 @@
 #include "forest/scorer.h"
 #include "mm/csr.h"
 #include "mm/gemm.h"
+#include "mm/panel.h"
 #include "nn/mlp.h"
 
 namespace dnlr::obs {
@@ -36,20 +37,23 @@ struct NeuralScorerConfig {
   uint32_t min_parallel_docs = 128;
 };
 
-/// Per-call scratch of the layer-by-layer forward pass: two activation
-/// matrices used as ping-pong buffers. Reused across every batch of one
-/// Score call, so the steady state allocates nothing per batch (Reshape
-/// reuses storage once the buffers reach the widest layer's size).
+/// Per-call scratch of the layer-by-layer forward pass: the input batch and
+/// two activation buffers used as ping-pong, all in the GEMM's panel layout
+/// (mm::PanelMatrix). Reused across every batch of one Score call; Reshape
+/// neither zero-fills nor reallocates once a buffer reaches its high-water
+/// size, so the steady state allocates and clears nothing per batch.
 struct ForwardScratch {
-  mm::Matrix ping;
-  mm::Matrix pong;
+  mm::PanelMatrix input;
+  mm::PanelMatrix ping;
+  mm::PanelMatrix pong;
 };
 
-/// Optimized dense neural inference on CPU: documents are Z-normalized and
-/// packed as columns of B (features x batch); each layer is one blocked
-/// GEMM C = W * B followed by bias + ReLU6. This is the C++ engine the
-/// paper benchmarks against QuickScorer (Section 6.1 uses oneDNN's sgemm;
-/// ours is the Goto-algorithm GEMM from mm/).
+/// Optimized dense neural inference on CPU: documents are Z-normalized
+/// straight into the columns of a panel-layout batch (features x batch);
+/// each layer is one mm::GemmLayer, the blocked GEMM W * X whose epilogue
+/// adds the bias, applies ReLU6 and writes the next layer's panels. This is
+/// the C++ engine the paper benchmarks against QuickScorer (Section 6.1
+/// uses oneDNN's sgemm; ours is the Goto-algorithm GEMM from mm/).
 class NeuralScorer : public forest::DocumentScorer {
  public:
   /// Packs the model weights once, into the GEMM's A-panel layout, so no
@@ -65,21 +69,16 @@ class NeuralScorer : public forest::DocumentScorer {
              float* out) const override;
 
  protected:
-  /// Packs only layers [first_dense_layer, num_layers); earlier entries of
-  /// weights_ stay empty for a subclass that serves them another way.
+  /// With `sparse_first_layer`, layer 0 is kept only as CSR weights and
+  /// runs through mm::SdmmLayer; every other layer is packed for GemmLayer.
   NeuralScorer(const Mlp& mlp, const data::ZNormalizer* normalizer,
-               NeuralScorerConfig config, uint32_t first_dense_layer);
+               NeuralScorerConfig config, bool sparse_first_layer);
 
-  /// Scores one batch already packed column-major (features x batch). The
-  /// input is read in place (layer 0 consumes it directly; no copy) and the
-  /// remaining layers ping-pong between the scratch buffers. Overridden by
-  /// the hybrid scorer to run the first layer sparse.
-  virtual void ForwardColumns(const mm::Matrix& input_columns,
-                              ForwardScratch* scratch, float* out) const;
-
-  /// Applies bias and (optionally) ReLU6 row-wise to a (out x batch) matrix.
-  static void BiasActivate(const std::vector<float>& bias, bool activate,
-                           mm::Matrix* z);
+  /// The forward pass over one batch in scratch->input (features x batch,
+  /// panel layout): each layer reads the previous one's panels in place and
+  /// writes the other ping-pong buffer; the last layer's single row is the
+  /// batch's scores, copied to `out`.
+  void ForwardColumns(ForwardScratch* scratch, float* out) const;
 
   /// Scores the contiguous batch range [batch_begin, batch_end) of a Score
   /// call (batch i covers documents [i * batch_size, ...)). Each pool chunk
@@ -90,6 +89,9 @@ class NeuralScorer : public forest::DocumentScorer {
 
   std::vector<mm::PackedMatrix> weights_;    // per layer, out x in
   std::vector<std::vector<float>> biases_;   // per layer
+  /// Layer 0 as CSR when it runs sparse (weights_[0] is then empty).
+  mm::CsrMatrix first_layer_csr_;
+  bool first_layer_sparse_ = false;
   const data::ZNormalizer* normalizer_;
   NeuralScorerConfig config_;
   uint32_t input_dim_;
@@ -97,9 +99,9 @@ class NeuralScorer : public forest::DocumentScorer {
   /// Observability: per-layer forward-time histograms plus the whole-batch
   /// forward histogram, resolved from the global registry at construction
   /// so the forward pass never touches the registry map. Layer 0's name
-  /// marks the sparse / dense split (the hybrid engine re-points it at the
-  /// sparse histogram). Recording is gated on the obs run-time switch and
-  /// never alters scores.
+  /// marks the sparse / dense split (nn.layer0.sparse_us when it runs
+  /// sparse). Recording is gated on the obs run-time switch and never
+  /// alters scores.
   std::vector<obs::Histogram*> layer_histograms_;
   obs::Histogram* forward_histogram_ = nullptr;
 };
@@ -117,14 +119,9 @@ class HybridNeuralScorer : public NeuralScorer {
   std::string_view name() const override { return "neural-hybrid-sparse"; }
 
   /// Sparsity of the first layer actually exploited by the engine.
-  double first_layer_sparsity() const { return first_layer_.Sparsity(); }
-
- protected:
-  void ForwardColumns(const mm::Matrix& input_columns,
-                      ForwardScratch* scratch, float* out) const override;
-
- private:
-  mm::CsrMatrix first_layer_;
+  double first_layer_sparsity() const {
+    return first_layer_csr_.Sparsity();
+  }
 };
 
 }  // namespace dnlr::nn

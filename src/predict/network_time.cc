@@ -64,10 +64,11 @@ ParallelScaling MeasureGemmParallelScaling(common::ThreadPool* pool,
   // Efficiency at the representative large-batch shape. The no-crossover
   // params force the parallel kernel even on shapes the default GemmParams
   // gate would keep serial: this measurement IS the gate's calibration.
+  // Both sides time the raw-A Gemm, so the ratio is the split's alone.
   mm::GemmParams ungated;
   ungated.min_parallel_flops = 0;
-  const double serial_gflops =
-      mm::MeasureGemmGflops(m, k, n, repeats, /*seed=*/99, nullptr);
+  const double serial_gflops = mm::MeasureGemmGflopsWithParams(
+      ungated, m, k, n, repeats, /*seed=*/99, nullptr);
   const double parallel_gflops = mm::MeasureGemmGflopsWithParams(
       ungated, m, k, n, repeats, /*seed=*/99, pool);
   if (serial_gflops <= 0.0 || parallel_gflops <= 0.0) {

@@ -66,10 +66,11 @@ ServingEngine::ServingEngine(std::shared_ptr<const DegradationLadder> ladder,
   DNLR_CHECK_GT(config_.safety_factor, 0.0);
   DNLR_CHECK_GE(config_.max_attempts_per_rung, 1u);
   const size_t num_rungs = ladder->num_rungs();
-  // Release publication pairs with the acquire load in CurrentState so
-  // workers observe a fully built LadderState.
-  state_.store(BuildState(std::move(ladder), /*version=*/1),
-               std::memory_order_release);
+  {
+    // No worker exists yet; the lock satisfies the thread-safety analysis.
+    common::MutexLock lock(state_mu_);
+    state_ = BuildState(std::move(ladder), /*version=*/1);
+  }
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   queue_wait_histogram_ = &registry.GetHistogram("serve.queue_wait_us");
   backoff_histogram_ = &registry.GetHistogram("serve.backoff_us");
@@ -129,11 +130,15 @@ Status ServingEngine::SwapModel(std::shared_ptr<const DegradationLadder> next,
   }
   {
     common::MutexLock lock(swap_mu_);
-    auto state = BuildState(std::move(next), CurrentState()->version + 1);
-    // Release publication pairs with the acquire load in CurrentState so
-    // workers picking up the pointer see the fully built state; swap_mu_
-    // serializes concurrent swappers (read-modify-write of version).
-    state_.store(std::move(state), std::memory_order_release);
+    // swap_mu_ serializes concurrent swappers (read-modify-write of
+    // version); state_mu_ is held only for the pointer exchange, so the
+    // old generation is released (and possibly destroyed) outside it.
+    std::shared_ptr<const LadderState> state =
+        BuildState(std::move(next), CurrentState()->version + 1);
+    {
+      common::MutexLock state_lock(state_mu_);
+      state_.swap(state);
+    }
   }
   {
     // A fresh model starts with fresh health: faults accumulated by the

@@ -1,7 +1,6 @@
 #ifndef DNLR_SERVE_ENGINE_H_
 #define DNLR_SERVE_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -100,12 +99,12 @@ enum class CircuitState { kClosed, kOpen, kHalfOpen };
 /// quarantine, so the engine keeps answering as long as the floor fits the
 /// budget and does not fault.
 ///
-/// Hot reload: the serving ladder is published RCU-style through an atomic
-/// shared_ptr. SwapModel validates a candidate ladder and, on success,
-/// publishes it atomically: requests already in flight finish on the model
-/// generation they started with (the old ladder stays alive until its last
-/// reader drops it), new requests see the new generation, and no request is
-/// ever failed or torn across generations.
+/// Hot reload: the serving ladder is published RCU-style through a
+/// mutex-guarded shared_ptr. SwapModel validates a candidate ladder and, on
+/// success, publishes it atomically: requests already in flight finish on
+/// the model generation they started with (the old ladder stays alive until
+/// its last reader drops it), new requests see the new generation, and no
+/// request is ever failed or torn across generations.
 class ServingEngine {
  public:
   /// Non-owning construction: the ladder and clock must outlive the engine
@@ -242,10 +241,12 @@ class ServingEngine {
 
   static std::shared_ptr<const LadderState> BuildState(
       std::shared_ptr<const DegradationLadder> ladder, uint64_t version);
-  std::shared_ptr<const LadderState> CurrentState() const {
-    // Acquire pairs with the release store in SwapModel / the constructor:
-    // everything written before publication is visible through the pointer.
-    return state_.load(std::memory_order_acquire);
+  std::shared_ptr<const LadderState> CurrentState() const
+      DNLR_EXCLUDES(state_mu_) {
+    // The lock orders this copy after the publishing store in SwapModel /
+    // the constructor: everything built before publication is visible.
+    common::MutexLock lock(state_mu_);
+    return state_;
   }
 
   void WorkerLoop() DNLR_EXCLUDES(queue_mu_);
@@ -266,9 +267,11 @@ class ServingEngine {
   Clock* clock_;
   ServeCounters counters_;
 
-  /// RCU publication point: workers acquire-load the current generation
-  /// once per request; SwapModel release-stores the next one.
-  std::atomic<std::shared_ptr<const LadderState>> state_;
+  /// RCU publication point: workers copy the current generation once per
+  /// request under state_mu_ (one uncontended lock; held only for the
+  /// reference-count bump); SwapModel replaces it under the same lock.
+  mutable common::Mutex state_mu_;
+  std::shared_ptr<const LadderState> state_ DNLR_GUARDED_BY(state_mu_);
   /// Serializes writers (SwapModel callers) only; readers never take it.
   common::Mutex swap_mu_;
 

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "mm/csr.h"
 #include "mm/gemm.h"
 #include "mm/matrix.h"
+#include "mm/panel.h"
 #include "mm/sdmm.h"
 
 namespace dnlr::mm {
@@ -81,6 +85,68 @@ bool BitwiseEqual(const Matrix& x, const Matrix& y) {
          std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
 }
 
+/// `m` in panel layout, padding columns set to zero.
+PanelMatrix ToPanels(const Matrix& m, uint32_t nr) {
+  PanelMatrix panels;
+  panels.Reshape(m.rows(), m.cols(), nr);
+  for (uint32_t r = 0; r < m.rows(); ++r) {
+    for (uint32_t c = 0; c < panels.padded_cols(); ++c) {
+      panels.At(r, c) = c < m.cols() ? m.At(r, c) : 0.0f;
+    }
+  }
+  return panels;
+}
+
+/// The real (unpadded) columns of `panels` as a row-major matrix.
+Matrix FromPanels(const PanelMatrix& panels) {
+  Matrix m(panels.rows(), panels.cols());
+  for (uint32_t r = 0; r < m.rows(); ++r) {
+    for (uint32_t c = 0; c < m.cols(); ++c) m.At(r, c) = panels.At(r, c);
+  }
+  return m;
+}
+
+/// Whether every stored entry of `panels`, padding included, is finite.
+bool AllFinite(const PanelMatrix& panels) {
+  for (uint32_t r = 0; r < panels.rows(); ++r) {
+    for (uint32_t c = 0; c < panels.padded_cols(); ++c) {
+      if (!std::isfinite(panels.At(r, c))) return false;
+    }
+  }
+  return true;
+}
+
+/// Reshapes `y` to rows x cols in nr-wide panels and sets every stored
+/// float, padding included, to NaN. PanelMatrix::Reshape does not clear, so
+/// a layer kernel that skips an entry or adds into what was there leaves a
+/// NaN behind for BitwiseEqual or AllFinite to catch.
+void Poison(uint32_t rows, uint32_t cols, uint32_t nr, PanelMatrix* y) {
+  y->Reshape(rows, cols, nr);
+  std::fill(y->Panel(0), y->Panel(0) + y->size(),
+            std::numeric_limits<float>::quiet_NaN());
+}
+
+/// The separate bias + activation pass the fused layer kernels replace:
+/// z += bias, then ReLU6 when `relu6`, element by element in scalar code.
+void BiasActivateReference(const std::vector<float>& bias, bool relu6,
+                           Matrix* z) {
+  for (uint32_t o = 0; o < z->rows(); ++o) {
+    for (uint32_t j = 0; j < z->cols(); ++j) {
+      z->At(o, j) += bias[o];
+      if (relu6) z->At(o, j) = Relu6(z->At(o, j));
+    }
+  }
+}
+
+/// Layer biases around the ReLU6 knees, every third one -0.0f.
+std::vector<float> LayerBias(uint32_t m, Rng& rng) {
+  std::vector<float> bias(m);
+  for (uint32_t o = 0; o < m; ++o) {
+    bias[o] = o % 3 == 0 ? -0.0f : static_cast<float>(rng.Normal(0.0, 3.0));
+  }
+  return bias;
+}
+
 // Property sweep: the blocked GEMM agrees with the reference triple loop on
 // shapes that exercise every edge case of the micro/macro blocking, and A
 // packed once by PackWeights gives bit-for-bit the raw-A product.
@@ -105,11 +171,29 @@ TEST_P(GemmShapeTest, MatchesReference) {
   const float tol = 1e-4f * std::sqrt(static_cast<float>(k)) + 1e-5f;
   EXPECT_LE(c.MaxAbsDiff(expected), tol)
       << "shape " << m << "x" << k << "x" << n;
-  Matrix prepacked(m, n);
-  prepacked.Fill(123.0f);
-  Gemm(PackWeights(a), b, &prepacked);
-  EXPECT_TRUE(BitwiseEqual(prepacked, c))
-      << "shape " << m << "x" << k << "x" << n;
+
+  // The fused layer over packed weights and panel B, with and without
+  // ReLU6: bit for bit the raw-A product plus a separate bias pass, within
+  // tolerance of the reference, and finite in the padding columns.
+  const std::vector<float> bias = LayerBias(m, rng);
+  const PackedMatrix packed = PackWeights(a);
+  const PanelMatrix x = ToPanels(b, packed.params().nr);
+  PanelMatrix y;
+  for (const bool relu6 : {false, true}) {
+    Matrix raw = c;
+    BiasActivateReference(bias, relu6, &raw);
+    Matrix reference = expected;
+    BiasActivateReference(bias, relu6, &reference);
+    Poison(m, n, packed.params().nr, &y);
+    GemmLayer(packed, x, LayerEpilogue{bias.data(), relu6}, &y);
+    ASSERT_EQ(y.rows(), static_cast<uint32_t>(m));
+    ASSERT_EQ(y.cols(), static_cast<uint32_t>(n));
+    const Matrix fused = FromPanels(y);
+    EXPECT_TRUE(BitwiseEqual(fused, raw))
+        << "shape " << m << "x" << k << "x" << n << " relu6 " << relu6;
+    EXPECT_LE(fused.MaxAbsDiff(reference), tol);
+    EXPECT_TRUE(AllFinite(y));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -126,8 +210,9 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(300, 1, 40)));   // rank-1 update
 
 // Edges of the default blocking: m crosses mr = 6 and mc = 72, k crosses
-// kc = 256 (several pc slices of the packed A), n covers a single column,
-// a ragged nr tail, and the scorers' batch width.
+// kc = 256 (several pc slices of the packed A, summed by the fused layer's
+// epilogue), n covers a single column, a ragged nr tail (a padded last
+// panel), and the scorers' batch width.
 INSTANTIATE_TEST_SUITE_P(
     BlockingEdges, GemmShapeTest,
     ::testing::Combine(::testing::Values(1, 5, 73, 150),
@@ -152,10 +237,66 @@ TEST(GemmTest, CustomMicroTileScalarPath) {
   GemmWithParams(a, b, &c, params);
   GemmReference(a, b, &expected);
   EXPECT_LE(c.MaxAbsDiff(expected), 1e-3f);
-  // The packed panels follow the custom blocking they were packed for.
-  Matrix prepacked(33, 29);
-  Gemm(PackWeights(a, params), b, &prepacked);
-  EXPECT_TRUE(BitwiseEqual(prepacked, c));
+  // The fused layer runs the same scalar micro-kernel on the custom
+  // blocking the weights were packed for: 5-wide panels (a padded last
+  // one) and three kc slices summed in the epilogue.
+  const std::vector<float> bias = LayerBias(33, rng);
+  const PackedMatrix packed = PackWeights(a, params);
+  const PanelMatrix x = ToPanels(b, params.nr);
+  PanelMatrix y;
+  for (const bool relu6 : {false, true}) {
+    Matrix raw = c;
+    BiasActivateReference(bias, relu6, &raw);
+    Poison(33, 29, params.nr, &y);
+    GemmLayer(packed, x, LayerEpilogue{bias.data(), relu6}, &y);
+    EXPECT_EQ(y.nr(), params.nr);
+    EXPECT_TRUE(BitwiseEqual(FromPanels(y), raw)) << "relu6 " << relu6;
+    EXPECT_TRUE(AllFinite(y));
+  }
+}
+
+TEST(GemmTest, LayerEpilogueKeepsRelu6Semantics) {
+  // ReLU6 keeps -0.0f and NaN as nn::Relu6 does, in both the scalar and
+  // the vector form the epilogues use.
+  EXPECT_TRUE(std::signbit(Relu6(-0.0f)));
+  EXPECT_TRUE(std::isnan(Relu6(NAN)));
+#if defined(__AVX2__)
+  const float specials[16] = {-0.0f,     0.0f,     -1.0f,   1e-30f,
+                              5.999f,    6.0f,     6.0001f, 1e30f,
+                              -INFINITY, INFINITY, NAN,     -NAN,
+                              3.0f,      -6.0f,    7.5f,    -1e-30f};
+  for (size_t i = 0; i < 16; i += 8) {
+    float lanes[8];
+    _mm256_storeu_ps(lanes, Relu6(_mm256_loadu_ps(specials + i)));
+    for (size_t lane = 0; lane < 8; ++lane) {
+      const float scalar = Relu6(specials[i + lane]);
+      EXPECT_EQ(std::memcmp(&lanes[lane], &scalar, sizeof(float)), 0)
+          << "input " << specials[i + lane];
+    }
+  }
+#endif
+  // Through the fused layer, with A = [1] and a -0.0f bias, each entry's
+  // sum is ((0 + x) + -0.0f): -0.0f products become +0.0f exactly as in
+  // the raw-A Gemm plus a separate bias pass.
+  const std::vector<float> values = {-0.0f, 0.0f,    -1.0f, 1e-30f,
+                                     5.999f, 6.0f,   6.0001f, 1e30f,
+                                     3.0f,   -6.0f,  7.5f,  -1e-30f,
+                                     -0.0f,  -0.0f,  2.0f,  -0.0f, 0.5f};
+  const Matrix a({{1.0f}});
+  Matrix b(1, static_cast<uint32_t>(values.size()));
+  for (uint32_t j = 0; j < b.cols(); ++j) b.At(0, j) = values[j];
+  const std::vector<float> bias(1, -0.0f);
+  PanelMatrix y;
+  for (const bool relu6 : {false, true}) {
+    Matrix raw(1, b.cols());
+    Gemm(a, b, &raw);
+    BiasActivateReference(bias, relu6, &raw);
+    Poison(1, b.cols(), GemmParams().nr, &y);
+    GemmLayer(PackWeights(a), ToPanels(b, GemmParams().nr),
+              LayerEpilogue{bias.data(), relu6}, &y);
+    EXPECT_TRUE(BitwiseEqual(FromPanels(y), raw)) << "relu6 " << relu6;
+    EXPECT_TRUE(AllFinite(y));
+  }
 }
 
 TEST(GemmTest, OverwritesPreviousContents) {
@@ -233,6 +374,23 @@ TEST_P(SdmmTest, MatchesReference) {
   Matrix dense_out(m, n);
   GemmReference(dense, b, &dense_out);
   EXPECT_LE(c.MaxAbsDiff(dense_out), 1e-3f);
+
+  // The fused layer over panels, with and without ReLU6: bit for bit Sdmm
+  // plus a separate bias pass (inactive rows included), and finite padding.
+  const std::vector<float> bias = LayerBias(m, rng);
+  const PanelMatrix x = ToPanels(b, GemmParams().nr);
+  PanelMatrix y;
+  for (const bool relu6 : {false, true}) {
+    Matrix raw = c;
+    BiasActivateReference(bias, relu6, &raw);
+    Poison(m, n, GemmParams().nr, &y);
+    SdmmLayer(a, x, LayerEpilogue{bias.data(), relu6}, &y);
+    ASSERT_EQ(y.rows(), static_cast<uint32_t>(m));
+    ASSERT_EQ(y.cols(), static_cast<uint32_t>(n));
+    EXPECT_TRUE(BitwiseEqual(FromPanels(y), raw))
+        << "shape " << m << "x" << k << "x" << n << " relu6 " << relu6;
+    EXPECT_TRUE(AllFinite(y));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -247,6 +405,15 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(20, 30, 40, 0.0),   // fully dense
                       std::make_tuple(64, 64, 33, 0.8),
                       std::make_tuple(10, 200, 7, 0.95)));
+
+// The dense kernel's blocking-edge grid: m crosses 6 and 72, k crosses 256,
+// n is one column, a padded 16-wide panel pair, and the batch width.
+INSTANTIATE_TEST_SUITE_P(
+    BlockingEdges, SdmmTest,
+    ::testing::Combine(::testing::Values(1, 5, 73, 150),
+                       ::testing::Values(1, 255, 257, 600),
+                       ::testing::Values(1, 17, 64),
+                       ::testing::Values(0.9)));
 
 TEST(SdmmTest, InactiveRowsProduceZeroRows) {
   Matrix dense(4, 4);

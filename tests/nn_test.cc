@@ -30,6 +30,8 @@ TEST(ActivationTest, Relu6Clamps) {
   EXPECT_FLOAT_EQ(Relu6(3.0f), 3.0f);
   EXPECT_FLOAT_EQ(Relu6(6.0f), 6.0f);
   EXPECT_FLOAT_EQ(Relu6(9.0f), 6.0f);
+  // The compares pass -0.0f through: its sign bit survives.
+  EXPECT_TRUE(std::signbit(Relu6(-0.0f)));
 }
 
 TEST(ActivationTest, Relu6GradSupport) {
@@ -367,6 +369,12 @@ TEST(NeuralScorerParityTest, PackedWeightsMatchRawGemmForwardBitwise) {
   for (size_t i = 0; i < w0.size(); ++i) {
     if (i % 4 != 0) w0.data()[i] = 0.0f;
   }
+  // Biases of -0.0f: a sum of (0 + tiles) + -0.0f must keep the raw path's
+  // sign, including on an all-zero document.
+  for (uint32_t l = 0; l < mlp.num_layers(); ++l) {
+    std::vector<float>& bias = mlp.layer(l).bias;
+    for (size_t o = 0; o < bias.size(); o += 3) bias[o] = -0.0f;
+  }
   const mm::CsrMatrix sparse_w0 = mm::CsrMatrix::FromDense(w0);
   const NeuralScorer dense(mlp, nullptr);
   const HybridNeuralScorer hybrid(mlp, nullptr);
@@ -398,9 +406,13 @@ TEST(NeuralScorerParityTest, PackedWeightsMatchRawGemmForwardBitwise) {
   };
 
   Rng rng(22);
-  for (const uint32_t count : {1u, 63u, 65u, 130u}) {
+  // Counts around the 16-wide panels and the 64-doc batches, so full,
+  // padded and single-column last panels all occur.
+  for (const uint32_t count : {1u, 15u, 16u, 17u, 63u, 65u, 130u}) {
     std::vector<float> docs(static_cast<size_t>(count) * features);
     for (float& v : docs) v = static_cast<float>(rng.Normal());
+    // The last document is all zeros.
+    std::fill(docs.end() - features, docs.end(), 0.0f);
     std::vector<float> expected_dense(count);
     std::vector<float> expected_hybrid(count);
     for (uint32_t start = 0; start < count; start += batch_size) {

@@ -1781,14 +1781,21 @@ int CmdStats(const Args& args) {
 
   if (max_overhead_pct > 0.0) {
     // GFLOPS is best-of-repeats, i.e. min time; taking the best across
-    // trials on both sides compares two near-noise-free minima.
+    // trials on both sides compares two near-noise-free minima. The probe
+    // is the raw-A Gemm, the GEMM entry point with the most spans per call
+    // (pack_a and pack_b on top of the kernel spans the served layers
+    // record).
+    const auto measure = [] {
+      return mm::MeasureGemmGflopsWithParams(mm::GemmParams(), 256, 256, 64,
+                                             5);
+    };
     double off_gflops = 0.0;
     double on_gflops = 0.0;
     for (int trial = 0; trial < std::max(1, trials); ++trial) {
       registry.SetEnabled(false);
-      off_gflops = std::max(off_gflops, mm::MeasureGemmGflops(256, 256, 64, 5));
+      off_gflops = std::max(off_gflops, measure());
       registry.SetEnabled(true);
-      on_gflops = std::max(on_gflops, mm::MeasureGemmGflops(256, 256, 64, 5));
+      on_gflops = std::max(on_gflops, measure());
     }
     registry.SetEnabled(false);
     const double overhead_pct = (off_gflops / on_gflops - 1.0) * 100.0;
