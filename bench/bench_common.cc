@@ -168,7 +168,7 @@ const predict::DenseTimePredictor& DensePredictor() {
     }
     std::fprintf(stderr, "[bench] calibrating dense time predictor ...\n");
     predict::DenseCalibrationConfig config;
-    config.m_values = {16, 25, 50, 100, 200, 400, 800};
+    config.m_values = {1, 2, 4, 8, 16, 25, 50, 100, 200, 400, 800};
     config.k_values = {16, 32, 64, 136, 220, 400, 800};
     config.n_values = {16, 64, 256, 1000};
     config.repeats = 3;

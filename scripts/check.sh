@@ -2,7 +2,7 @@
 # Builds and runs ctest under every preset of the verification matrix, or
 # the subset named on the command line:
 #
-#   scripts/check.sh                 # release, asan-ubsan, tsan
+#   scripts/check.sh                 # release, asan-ubsan, avx2, tsan
 #   scripts/check.sh asan-ubsan      # one preset
 #
 # Environment:
@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 
 presets=("$@")
 if [ ${#presets[@]} -eq 0 ]; then
-  presets=(release asan-ubsan tsan)
+  presets=(release asan-ubsan avx2 tsan)
 fi
 jobs="${DNLR_JOBS:-$(nproc)}"
 

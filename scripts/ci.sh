@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: the release and asan-ubsan presets must build and pass
-# ctest with zero sanitizer reports, and the tsan preset must pass the
+# ctest with zero sanitizer reports, the avx2 preset must pass the
+# kernel-isa tests on the AVX2 GEMM kernel, and the tsan preset must pass the
 # `threaded` test subset (the serving engine's worker-pool tests) with zero
 # data-race reports. UBSan findings are fatal at runtime
 # (-fno-sanitize-recover=all) and ASan/LSan/TSan errors fail their process,
@@ -18,6 +19,12 @@ cd "$(dirname "$0")/.."
 scripts/tidy.sh
 
 scripts/check.sh release asan-ubsan
+
+# On an AVX-512 host the native builds above compile only the AVX-512 GEMM
+# micro-kernel. The avx2 preset targets x86-64-v3, so the AVX2+FMA kernel
+# is built and its kernel-isa tests (mm_test, nn_test, parallel_test) run,
+# bit-pinning test included: both kernels must give the same scores.
+scripts/check.sh avx2
 
 # The tsan preset is gated to the threaded label: TSan only pays off on
 # tests that actually run concurrent code, and the full suite under TSan's
@@ -148,7 +155,8 @@ for preset in asan-ubsan tsan; do
   fi
 done
 [ "${fail}" -eq 0 ] || exit 1
-echo "ci.sh: static analysis + release + asan-ubsan + tsan(threaded) +" \
+echo "ci.sh: static analysis + release + asan-ubsan + avx2(kernel-isa) +" \
+     "tsan(threaded) +" \
      "scaling small/large gates + bundle verify/reload (text + binary," \
      "10x load gate) + tenant-isolation soak + traffic-replay soak" \
      "(score-cache SLO) gates green, no sanitizer reports"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/aligned.h"
@@ -9,7 +10,13 @@
 #include "common/timer.h"
 #include "obs/trace.h"
 
-#if defined(__AVX2__) && defined(__FMA__)
+// One SIMD micro-kernel per build, chosen by the ISA the build targets.
+#if defined(__AVX512F__)
+#define DNLR_GEMM_AVX512 1
+#elif defined(__AVX2__) && defined(__FMA__)
+#define DNLR_GEMM_AVX2 1
+#endif
+#if defined(DNLR_GEMM_AVX512) || defined(DNLR_GEMM_AVX2)
 #define DNLR_GEMM_SIMD 1
 #include <immintrin.h>
 #endif
@@ -67,12 +74,40 @@ void MicroKernelScalar(uint32_t kb, uint32_t mr, uint32_t nr,
   }
 }
 
-#ifdef DNLR_GEMM_SIMD
+#if defined(DNLR_GEMM_AVX512)
+/// AVX-512F micro-kernel for mr = sizeof...(R), nr = 16: each tile row
+/// lives in one zmm accumulator; each k step is one B vector load and one
+/// broadcast-FMA per row, the register-blocked rank-1 update of Figure 3 in
+/// the paper. The pack expansions unroll the rows at compile time, so the
+/// accumulators stay in registers.
+template <size_t... R>
+void MicroKernelAvx512(uint32_t kb, const float* a_panel,
+                       const float* b_panel, float* acc,
+                       std::index_sequence<R...>) {
+  constexpr size_t kMr = sizeof...(R);
+  __m512 c[kMr];
+  ((c[R] = _mm512_setzero_ps()), ...);
+  for (uint32_t p = 0; p < kb; ++p) {
+    const __m512 b = _mm512_loadu_ps(b_panel);
+    b_panel += 16;
+    ((c[R] = _mm512_fmadd_ps(_mm512_set1_ps(a_panel[R]), b, c[R])), ...);
+    a_panel += kMr;
+  }
+  (_mm512_storeu_ps(acc + R * 16, c[R]), ...);
+}
+
+void MicroKernelSimd(uint32_t kb, const float* a_panel, const float* b_panel,
+                     float* acc) {
+  MicroKernelAvx512(kb, a_panel, b_panel, acc,
+                    std::make_index_sequence<kGemmSimdMr>());
+}
+#elif defined(DNLR_GEMM_AVX2)
 /// AVX2+FMA micro-kernel for mr = 6, nr = 16: the 6x16 C tile lives in 12
 /// ymm accumulators; each k step is one broadcast per row and two FMAs,
 /// the register-blocked rank-1 update of Figure 3 in the paper.
-void MicroKernel6x16Avx2(uint32_t kb, const float* a_panel,
-                         const float* b_panel, float* acc) {
+void MicroKernelSimd(uint32_t kb, const float* a_panel, const float* b_panel,
+                     float* acc) {
+  static_assert(kGemmSimdMr == 6);
   __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
   __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
   __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
@@ -117,7 +152,7 @@ void MicroKernel6x16Avx2(uint32_t kb, const float* a_panel,
   _mm256_storeu_ps(acc + 80, c50);
   _mm256_storeu_ps(acc + 88, c51);
 }
-#endif  // DNLR_GEMM_SIMD
+#endif
 
 /// Per-OS-thread packing scratch, reused across (jc, pc) iterations,
 /// ParallelFor calls, and whole GEMM calls: the pool's chunk bodies run on
@@ -189,7 +224,7 @@ void RunMacroBlock(const float* packed_a, const GemmParams& params,
       const float* a_panel = packed_a + static_cast<size_t>(ir / mr) * kb * mr;
 #ifdef DNLR_GEMM_SIMD
       if (use_simd) {
-        MicroKernel6x16Avx2(kb, a_panel, b_panel, tile);
+        MicroKernelSimd(kb, a_panel, b_panel, tile);
       } else {
         std::memset(tile, 0, sizeof(float) * mr * nr);
         MicroKernelScalar(kb, mr, nr, a_panel, b_panel, tile);
@@ -222,7 +257,7 @@ void GemmLoop(uint32_t m, uint32_t k, uint32_t n, const GemmParams& params,
   if (m == 0 || n == 0 || k == 0) return;
 
 #ifdef DNLR_GEMM_SIMD
-  const bool use_simd = (mr == 6 && nr == 16);
+  const bool use_simd = (mr == kGemmSimdMr && nr == 16);
 #else
   const bool use_simd = false;
 #endif
@@ -284,7 +319,15 @@ void StoreLayerTile(const LayerEpilogue& epilogue, bool first, bool last,
     const float* tile_row = tile + static_cast<size_t>(r) * nr;
     float* out_row = out + static_cast<size_t>(r) * nr;
     uint32_t col = 0;
-#ifdef DNLR_GEMM_SIMD
+#if defined(DNLR_GEMM_AVX512)
+    for (; col + 16 <= nr; col += 16) {
+      __m512 v = _mm512_add_ps(
+          first ? _mm512_setzero_ps() : _mm512_loadu_ps(out_row + col),
+          _mm512_loadu_ps(tile_row + col));
+      if (last) v = epilogue.Apply(row0 + r, v);
+      _mm512_storeu_ps(out_row + col, v);
+    }
+#elif defined(DNLR_GEMM_AVX2)
     for (; col + 8 <= nr; col += 8) {
       __m256 v = _mm256_add_ps(
           first ? _mm256_setzero_ps() : _mm256_loadu_ps(out_row + col),

@@ -14,22 +14,32 @@ class ThreadPool;
 
 namespace dnlr::mm {
 
+/// Micro-tile rows of the SIMD kernel the build's ISA selects: 12 rows of
+/// one 16-float zmm each under AVX-512F, 6 rows of two 8-float ymm each
+/// under AVX2+FMA (and on builds with no SIMD kernel, where it is only the
+/// default blocking). Both divide the default mc.
+#if defined(__AVX512F__)
+inline constexpr uint32_t kGemmSimdMr = 12;
+#else
+inline constexpr uint32_t kGemmSimdMr = 6;
+#endif
+
 /// Blocking parameters of the Goto algorithm (Section 4.1 of the paper).
 /// The macro-kernel streams an MC x KC packed block of A (L2-resident)
 /// against a KC x NC packed panel of B (L3-resident); the micro-kernel
 /// computes an MR x NR tile of C held entirely in vector registers.
 struct GemmParams {
-  uint32_t mc = 72;    // rows of the packed A block (multiple of mr)
-  uint32_t kc = 256;   // shared dimension slice
-  uint32_t nc = 4080;  // columns of the packed B panel (multiple of nr)
-  uint32_t mr = 6;     // micro-tile rows (register blocking)
-  uint32_t nr = 16;    // micro-tile cols (two AVX2 vectors of 8 floats)
+  uint32_t mc = 72;           // rows of the packed A block (multiple of mr)
+  uint32_t kc = 256;          // shared dimension slice
+  uint32_t nc = 4080;         // columns of the packed B panel (multiple of nr)
+  uint32_t mr = kGemmSimdMr;  // micro-tile rows (register blocking)
+  uint32_t nr = 16;           // micro-tile cols (one zmm, or two ymm)
 
   /// Parallel crossover: multiplications with fewer than this many flops
   /// (2*m*n*k) stay on the serial path even when a pool is supplied —
   /// below it, ParallelFor coordination costs more than the split saves.
   /// The default is a conservative generic figure (~50 us of serial work
-  /// on one AVX2 core); measure the machine's real crossover with
+  /// on one SIMD core); measure the machine's real crossover with
   /// predict::MeasureGemmParallelScaling and override. 0 disables the
   /// gate (always parallelize when a pool is given).
   uint64_t min_parallel_flops = 2'000'000;
@@ -118,7 +128,10 @@ void GemmLayer(const PackedMatrix& a, const PanelMatrix& x,
 /// Reference triple-loop GEMM (ablation baseline and test oracle).
 void GemmReference(const Matrix& a, const Matrix& b, Matrix* c);
 
-/// Whether the AVX2+FMA micro-kernel is compiled in.
+/// Whether a SIMD micro-kernel is compiled in: the AVX-512F 12x16 kernel
+/// on builds with __AVX512F__, else the AVX2+FMA 6x16 kernel on builds
+/// with __AVX2__ and __FMA__. Either one computes every entry of a tile as
+/// a chain of FMAs from 0 in k order, so scores do not depend on which.
 bool GemmHasSimd();
 
 /// Measured GFLOPS of the kernel the neural scorers serve: GemmLayer over

@@ -74,7 +74,7 @@ class PanelMatrix {
 };
 
 /// ReLU6, min(max(x, 0), 6), written as two ordered compares so that -0.0f
-/// and NaN pass through unchanged. The vector overload below is the same
+/// and NaN pass through unchanged. The vector overloads below are the same
 /// function lane by lane.
 inline float Relu6(float x) { return x < 0.0f ? 0.0f : (x > 6.0f ? 6.0f : x); }
 
@@ -87,6 +87,19 @@ inline __m256 Relu6(__m256 x) {
   // commuted max(x, 0) would turn -0.0f into +0.0f and NaN into 0.
   const __m256 y = _mm256_min_ps(_mm256_set1_ps(6.0f), x);
   return _mm256_max_ps(_mm256_setzero_ps(), y);
+}
+#endif
+#if defined(__AVX512F__)
+inline __m512 Relu6(__m512 x) {
+  // The scalar compares as lane masks: lanes with x < 0 take 0, lanes with
+  // x > 6 take 6, and every other lane (NaN and -0.0f among them) keeps x.
+  // Written with masked moves, not _mm512_min_ps/_mm512_max_ps, whose GCC 12
+  // headers raise a spurious -Wmaybe-uninitialized when inlined.
+  const __m512 six = _mm512_set1_ps(6.0f);
+  const __m512 zero = _mm512_setzero_ps();
+  const __mmask16 high = _mm512_cmp_ps_mask(x, six, _CMP_GT_OQ);
+  const __mmask16 low = _mm512_cmp_ps_mask(x, zero, _CMP_LT_OQ);
+  return _mm512_mask_mov_ps(_mm512_mask_mov_ps(x, high, six), low, zero);
 }
 #endif
 
@@ -105,6 +118,12 @@ struct LayerEpilogue {
 #if defined(__AVX2__)
   __m256 Apply(uint32_t row, __m256 acc) const {
     const __m256 z = _mm256_add_ps(acc, _mm256_set1_ps(bias[row]));
+    return relu6 ? Relu6(z) : z;
+  }
+#endif
+#if defined(__AVX512F__)
+  __m512 Apply(uint32_t row, __m512 acc) const {
+    const __m512 z = _mm512_add_ps(acc, _mm512_set1_ps(bias[row]));
     return relu6 ? Relu6(z) : z;
   }
 #endif

@@ -21,9 +21,10 @@ struct DenseCalibrationPoint {
 
 /// Grid of shapes to measure during calibration. The defaults mirror the
 /// paper's Figures 4-6 study (m, k sweeps at several batch sizes) scaled to
-/// run in seconds.
+/// run in seconds; m starts at 1 so that a network's 1-row scoring layer
+/// and its narrow last hidden layers are measured, not extrapolated.
 struct DenseCalibrationConfig {
-  std::vector<uint32_t> m_values{16, 32, 64, 128, 256, 512, 1024};
+  std::vector<uint32_t> m_values{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024};
   std::vector<uint32_t> k_values{16, 32, 64, 128, 256, 512, 1024};
   std::vector<uint32_t> n_values{16, 64, 256, 1000};
   int repeats = 3;

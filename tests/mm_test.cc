@@ -209,15 +209,91 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(1, 300, 40),     // single-row A
         std::make_tuple(300, 1, 40)));   // rank-1 update
 
-// Edges of the default blocking: m crosses mr = 6 and mc = 72, k crosses
-// kc = 256 (several pc slices of the packed A, summed by the fused layer's
+/// Row counts around the default blocking of this build's kernel: one row,
+/// either side of mr, one past mc; plus 5 (inside one tile for every SIMD
+/// mr) and 150 (past two mc blocks with a ragged last tile), sorted and
+/// deduplicated.
+std::vector<int> BlockingEdgeRows() {
+  const GemmParams params;
+  const int mr = static_cast<int>(params.mr);
+  const int mc = static_cast<int>(params.mc);
+  std::vector<int> rows = {1, 5, mr - 1, mr + 1, mc + 1, 150};
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  return rows;
+}
+
+// Edges of the default blocking: m crosses mr and mc, k crosses kc = 256
+// (several pc slices of the packed A, summed by the fused layer's
 // epilogue), n covers a single column, a ragged nr tail (a padded last
 // panel), and the scorers' batch width.
 INSTANTIATE_TEST_SUITE_P(
     BlockingEdges, GemmShapeTest,
-    ::testing::Combine(::testing::Values(1, 5, 73, 150),
+    ::testing::Combine(::testing::ValuesIn(BlockingEdgeRows()),
                        ::testing::Values(1, 255, 257, 600),
                        ::testing::Values(1, 17, 64, 100)));
+
+/// The served layer as the SIMD kernels compute it, in scalar code: each
+/// entry is a std::fma chain from 0 over one kc slice in k order, the
+/// slices are summed as (0 + s0) + s1 + ..., then the bias is added and
+/// ReLU6 applied.
+Matrix FmaLayerReference(const Matrix& a, const Matrix& b,
+                         const std::vector<float>& bias, bool relu6,
+                         uint32_t kc) {
+  Matrix y(a.rows(), b.cols());
+  for (uint32_t i = 0; i < a.rows(); ++i) {
+    for (uint32_t j = 0; j < b.cols(); ++j) {
+      float sum = 0.0f;
+      for (uint32_t pc = 0; pc < a.cols(); pc += kc) {
+        float slice = 0.0f;
+        for (uint32_t p = pc; p < std::min(pc + kc, a.cols()); ++p) {
+          slice = std::fma(a.At(i, p), b.At(p, j), slice);
+        }
+        sum += slice;
+      }
+      const float z = sum + bias[i];
+      y.At(i, j) = relu6 ? Relu6(z) : z;
+    }
+  }
+  return y;
+}
+
+// The bits of the served layer are pinned across ISAs: whichever SIMD
+// micro-kernel the build compiled in (AVX-512F 12x16 or AVX2 6x16), the
+// default blocking gives bit for bit the scalar FMA reference, so a model
+// scores the same on either build.
+TEST(GemmTest, LayerMatchesScalarFmaReferenceBitwise) {
+  if (!GemmHasSimd()) GTEST_SKIP() << "no SIMD micro-kernel compiled in";
+  const GemmParams params;
+  const uint32_t mr = params.mr;
+  const uint32_t mc = params.mc;
+  const uint32_t kc = params.kc;
+  // m x k x n: single entries, the scoring layer, either side of mr, past
+  // mc and kc, a hidden layer at the batch width, three kc slices, and two
+  // mc blocks with a half tile and a ragged panel.
+  const std::tuple<uint32_t, uint32_t, uint32_t> shapes[] = {
+      {1, 1, 1},          {1, 25, 64},           {mr - 1, 17, 16},
+      {mr + 1, 100, 64},  {mc + 1, kc + 1, 17},  {100, 200, 64},
+      {50, 2 * kc + 1, 100}, {2 * mc + mr / 2, 136, 33}};
+  for (const auto& [m, k, n] : shapes) {
+    Rng rng(static_cast<uint64_t>(m) * 7919u + k * 131u + n);
+    Matrix a(m, k);
+    Matrix b(k, n);
+    a.FillNormal(rng);
+    b.FillNormal(rng);
+    const std::vector<float> bias = LayerBias(m, rng);
+    const PackedMatrix packed = PackWeights(a);
+    const PanelMatrix x = ToPanels(b, params.nr);
+    PanelMatrix y;
+    for (const bool relu6 : {false, true}) {
+      Poison(m, n, params.nr, &y);
+      GemmLayer(packed, x, LayerEpilogue{bias.data(), relu6}, &y);
+      EXPECT_TRUE(BitwiseEqual(FromPanels(y),
+                               FmaLayerReference(a, b, bias, relu6, kc)))
+          << "shape " << m << "x" << k << "x" << n << " relu6 " << relu6;
+    }
+  }
+}
 
 TEST(GemmTest, CustomMicroTileScalarPath) {
   // A non-default micro-tile disables the SIMD kernel; results must agree.
@@ -265,15 +341,25 @@ TEST(GemmTest, LayerEpilogueKeepsRelu6Semantics) {
                               5.999f,    6.0f,     6.0001f, 1e30f,
                               -INFINITY, INFINITY, NAN,     -NAN,
                               3.0f,      -6.0f,    7.5f,    -1e-30f};
+  // Each of `width` lanes, bit for bit, the scalar Relu6 of specials[i...].
+  const auto expect_scalar_lanes = [&](const float* lanes, size_t i,
+                                       size_t width) {
+    for (size_t lane = 0; lane < width; ++lane) {
+      const float scalar = Relu6(specials[i + lane]);
+      EXPECT_EQ(std::memcmp(&lanes[lane], &scalar, sizeof(float)), 0)
+          << "input " << specials[i + lane] << " width " << width;
+    }
+  };
   for (size_t i = 0; i < 16; i += 8) {
     float lanes[8];
     _mm256_storeu_ps(lanes, Relu6(_mm256_loadu_ps(specials + i)));
-    for (size_t lane = 0; lane < 8; ++lane) {
-      const float scalar = Relu6(specials[i + lane]);
-      EXPECT_EQ(std::memcmp(&lanes[lane], &scalar, sizeof(float)), 0)
-          << "input " << specials[i + lane];
-    }
+    expect_scalar_lanes(lanes, i, 8);
   }
+#if defined(__AVX512F__)
+  float lanes[16];
+  _mm512_storeu_ps(lanes, Relu6(_mm512_loadu_ps(specials)));
+  expect_scalar_lanes(lanes, 0, 16);
+#endif
 #endif
   // Through the fused layer, with A = [1] and a -0.0f bias, each entry's
   // sum is ((0 + x) + -0.0f): -0.0f products become +0.0f exactly as in

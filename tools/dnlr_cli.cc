@@ -477,7 +477,6 @@ int CmdPredictTime(const Args& args) {
 
   std::fprintf(stderr, "calibrating predictors (seconds)...\n");
   predict::DenseCalibrationConfig dense_config;
-  dense_config.m_values = {16, 32, 64, 128, 256, 512, 1024};
   dense_config.k_values = {16, 32, 64, features, 256, 512};
   dense_config.n_values = {16, batch, 256};
   const auto dense = predict::DenseTimePredictor::Calibrate(dense_config);
