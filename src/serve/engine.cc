@@ -224,7 +224,6 @@ ServeResponse ServingEngine::Process(const LadderState& state,
   const DegradationLadder& ladder = *state.ladder;
   ServeResponse resp;
   resp.model_version = state.version;
-  resp.scores.assign(request.count, 0.0f);
   const uint64_t start = clock_->NowMicros();
   resp.queue_micros = start - enqueue_micros;
   queue_wait_histogram_->Record(static_cast<double>(resp.queue_micros));
@@ -239,7 +238,6 @@ ServeResponse ServingEngine::Process(const LadderState& state,
     Bump(counters_.shed_deadline);
     resp.status =
         Status::DeadlineExceeded("deadline expired before scoring started");
-    resp.scores.clear();  // a non-OK response carries no scores
     resp.total_micros = clock_->NowMicros() - start;
     return resp;
   }
@@ -288,11 +286,13 @@ ServeResponse ServingEngine::Process(const LadderState& state,
     resp.status = Status::DeadlineExceeded(
         "budget of " + std::to_string(initial_remaining) +
         " us cannot fit the cheapest rung");
-    resp.scores.clear();
     resp.total_micros = clock_->NowMicros() - start;
     return resp;
   }
 
+  // Sized only once a rung is going to run: a hit brings its own scores and
+  // a shed response carries none.
+  resp.scores.assign(request.count, 0.0f);
   bool attempted_any = false;
   for (size_t r = static_cast<size_t>(strongest_feasible); r < num_rungs;
        ++r) {

@@ -1,9 +1,9 @@
 #include "serve/score_cache.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/check.h"
+#include "common/hash.h"
 
 namespace dnlr::serve {
 
@@ -27,26 +27,13 @@ ScoreCache::ScoreCache(const ScoreCacheConfig& config) {
 
 uint64_t ScoreCache::Fingerprint(const float* docs, uint32_t count,
                                  uint32_t stride) {
-  constexpr uint64_t kOffset = 0xcbf29ce484222325ull;
-  constexpr uint64_t kPrime = 0x100000001b3ull;
-  uint64_t h = kOffset;
-  const auto mix = [&h](const void* bytes, size_t len) {
-    const auto* p = static_cast<const unsigned char*>(bytes);
-    for (size_t i = 0; i < len; ++i) {
-      h ^= p[i];
-      h *= kPrime;
-    }
-  };
-  mix(&count, sizeof(count));
-  mix(&stride, sizeof(stride));
-  if (docs != nullptr) {
-    // One contiguous region: requests lay documents out row-major at
-    // `stride` floats apart, so count * stride floats cover every row
-    // (including any padding lanes, which is fine — identical batches have
-    // identical padding).
-    mix(docs, static_cast<size_t>(count) * stride * sizeof(float));
-  }
-  return h;
+  // One contiguous region: requests lay documents out row-major at `stride`
+  // floats apart, so count * stride floats cover every row (padding lanes
+  // included; identical batches have identical padding). The shape goes in
+  // the seed, so the same bytes read as another count x stride differ.
+  const size_t bytes =
+      docs == nullptr ? 0 : static_cast<size_t>(count) * stride * sizeof(float);
+  return common::Hash64(docs, bytes, (uint64_t{count} << 32) | stride);
 }
 
 bool ScoreCache::Lookup(uint64_t fingerprint, uint64_t version,

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "common/aligned.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -146,6 +149,40 @@ TEST(RngTest, ShufflePreservesElements) {
   rng.Shuffle(shuffled);
   std::sort(shuffled.begin(), shuffled.end());
   EXPECT_EQ(shuffled, items);
+}
+
+uint64_t HashString(std::string_view text, uint64_t seed = 0) {
+  return common::Hash64(text.data(), text.size(), seed);
+}
+
+TEST(Hash64Test, MatchesPublishedXxHash64Vectors) {
+  // Seed 0. "" is the empty-input path and "abc" the 1-byte tail; the
+  // 39-byte sentence is one 32-byte stripe plus the 4- and 1-byte tails,
+  // the 43-byte one a stripe plus the 8- and 1-byte tails.
+  EXPECT_EQ(HashString(""), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(HashString("abc"), 0x44BC2CF5AD770999ull);
+  EXPECT_EQ(HashString("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ull);
+  EXPECT_EQ(HashString("The quick brown fox jumps over the lazy dog"),
+            0x0B242D361FDA71BCull);
+  EXPECT_EQ(common::Hash64(nullptr, 0, 0), 0xEF46DB3751D8E999ull);
+}
+
+TEST(Hash64Test, IndependentOfAlignmentAndSensitiveToSeed) {
+  // 8-byte loads from every offset of a buffer must read the same bytes.
+  constexpr std::string_view kText =
+      "77 bytes: two 32-byte stripes, "
+      "then the 8-byte, 4-byte and 1-byte tail steps.";
+  ASSERT_EQ(kText.size(), 77u);
+  const uint64_t expected = HashString(kText, 7);
+  std::vector<char> buffer(kText.size() + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    std::copy(kText.begin(), kText.end(), buffer.begin() + offset);
+    EXPECT_EQ(common::Hash64(buffer.data() + offset, kText.size(), 7),
+              expected)
+        << "offset " << offset;
+  }
+  EXPECT_NE(HashString(kText, 8), expected);
 }
 
 TEST(AlignedBufferTest, AlignmentAndZeroInit) {

@@ -106,6 +106,26 @@ TEST(ScoreCacheTest, FingerprintIsStableAndSensitive) {
   EXPECT_NE(ScoreCache::Fingerprint(docs.data(), 4, 8), fp);
 }
 
+TEST(ScoreCacheTest, FingerprintSeesEveryBitOfAStripeAndItsTails) {
+  // 5 x 3 floats = 60 bytes: one 32-byte stripe, three 8-byte tail steps and
+  // one 4-byte step, so every read width of the hash is covered.
+  const std::vector<float> docs = MakeDocs(5, 3, 2);
+  const uint64_t fp = ScoreCache::Fingerprint(docs.data(), 5, 3);
+  const size_t num_bytes = docs.size() * sizeof(float);
+  ASSERT_EQ(num_bytes, 60u);
+  for (size_t byte = 0; byte < num_bytes; ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<float> flipped = docs;
+      reinterpret_cast<unsigned char*>(flipped.data())[byte] ^=
+          static_cast<unsigned char>(1u << bit);
+      EXPECT_NE(ScoreCache::Fingerprint(flipped.data(), 5, 3), fp)
+          << "byte " << byte << " bit " << bit;
+    }
+  }
+  // The same 15 floats read as 3 docs of 5 features are another batch.
+  EXPECT_NE(ScoreCache::Fingerprint(docs.data(), 3, 5), fp);
+}
+
 TEST(ScoreCacheTest, LookupInsertAndStats) {
   ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 2,
                                     .metric_prefix = "test.cache.basic"});
