@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -162,6 +163,17 @@ std::future<ServeResponse> ServingEngine::Submit(const ServeRequest& request) {
     return future;
   }
 
+  uint64_t fingerprint = 0;
+  uint64_t lookup_micros = 0;
+  if (config_.score_cache != nullptr) {
+    std::optional<ServeResponse> answer =
+        AnswerFromCache(request, &fingerprint, &lookup_micros);
+    if (answer.has_value()) {
+      promise.set_value(std::move(*answer));
+      return future;
+    }
+  }
+
   {
     common::MutexLock lock(queue_mu_);
     if (stopping_) {
@@ -180,11 +192,65 @@ std::future<ServeResponse> ServingEngine::Submit(const ServeRequest& request) {
       promise.set_value(std::move(resp));
       return future;
     }
-    queue_.push_back(
-        QueueItem{request, std::move(promise), clock_->NowMicros()});
+    queue_.push_back(QueueItem{request, std::move(promise),
+                               clock_->NowMicros(), fingerprint,
+                               lookup_micros});
   }
   queue_cv_.NotifyOne();
   return future;
+}
+
+std::optional<ServeResponse> ServingEngine::AnswerFromCache(
+    const ServeRequest& request, uint64_t* fingerprint,
+    uint64_t* lookup_micros) {
+  const uint64_t start = clock_->NowMicros();
+  ServeResponse resp;
+  // The shed rules of the queued path, applied before paying for a lookup:
+  // a stopped engine answers nothing, not even a hit, and an expired
+  // deadline is shed exactly as a worker would shed it.
+  if (!accepting()) {
+    Bump(counters_.shed_stopped);
+    resp.status = Status::ResourceExhausted("serving engine is stopped");
+    return resp;
+  }
+  if (request.deadline.RemainingMicros(*clock_) <= 0) {
+    Bump(counters_.shed_deadline);
+    resp.status =
+        Status::DeadlineExceeded("deadline expired before scoring started");
+    resp.total_micros = clock_->NowMicros() - start;
+    return resp;
+  }
+
+  // Looked up under the generation published now. A hit replays the cached
+  // scores bitwise along with the rung/degraded stamp of the computation
+  // that produced them, and is worth serving even when no rung would fit
+  // the remaining budget. Stale entries (older model_version) can never
+  // match because the version is part of the key check.
+  *fingerprint =
+      ScoreCache::Fingerprint(request.docs, request.count, request.stride);
+  const std::shared_ptr<const LadderState> state = CurrentState();
+  ScoreCache::Entry entry;
+  if (!config_.score_cache->Lookup(*fingerprint, state->version,
+                                   request.count, &entry)) {
+    *lookup_micros = clock_->NowMicros() - start;
+    return std::nullopt;
+  }
+  const DegradationLadder& ladder = *state->ladder;
+  resp.status = Status::Ok();
+  resp.scores = std::move(entry.scores);
+  resp.rung = entry.rung;
+  if (entry.rung >= 0 &&
+      static_cast<size_t>(entry.rung) < ladder.num_rungs()) {
+    resp.rung_name = ladder.rung(static_cast<size_t>(entry.rung)).name;
+  }
+  resp.degraded = entry.degraded;
+  resp.cache_hit = true;
+  resp.model_version = state->version;
+  Bump(counters_.ok);
+  if (resp.degraded) Bump(counters_.degraded);
+  resp.total_micros = clock_->NowMicros() - start;
+  cache_hit_histogram_->Record(static_cast<double>(resp.total_micros));
+  return resp;
 }
 
 ServeResponse ServingEngine::ScoreSync(const float* docs, uint32_t count,
@@ -213,20 +279,24 @@ void ServingEngine::WorkerLoop() {
     // shared_ptr keeps the old generation alive until the last in-flight
     // holder releases it.
     std::shared_ptr<const LadderState> state = CurrentState();
-    item.promise.set_value(
-        Process(*state, item.request, item.enqueue_micros));
+    item.promise.set_value(Process(*state, item));
   }
 }
 
 ServeResponse ServingEngine::Process(const LadderState& state,
-                                     const ServeRequest& request,
-                                     uint64_t enqueue_micros) {
+                                     const QueueItem& item) {
+  const ServeRequest& request = item.request;
   const DegradationLadder& ladder = *state.ladder;
   ServeResponse resp;
   resp.model_version = state.version;
   const uint64_t start = clock_->NowMicros();
-  resp.queue_micros = start - enqueue_micros;
+  resp.queue_micros = start - item.enqueue_micros;
   queue_wait_histogram_->Record(static_cast<double>(resp.queue_micros));
+  // Engine-side time: this worker's plus what Submit spent on a missed
+  // cache lookup (zero without a cache); the queue wait is reported apart.
+  const auto elapsed = [&]() -> uint64_t {
+    return item.lookup_micros + (clock_->NowMicros() - start);
+  };
 
   const size_t num_rungs = ladder.num_rungs();
   const auto remaining = [&]() -> int64_t {
@@ -238,40 +308,8 @@ ServeResponse ServingEngine::Process(const LadderState& state,
     Bump(counters_.shed_deadline);
     resp.status =
         Status::DeadlineExceeded("deadline expired before scoring started");
-    resp.total_micros = clock_->NowMicros() - start;
+    resp.total_micros = elapsed();
     return resp;
-  }
-
-  // Hot score cache: fingerprint the batch and look it up under the pinned
-  // generation before any rung (or even rung selection) runs — under load
-  // a hit is the cheapest possible answer, so it is worth trying even when
-  // no rung would fit the remaining budget. A hit replays the cached
-  // scores bitwise along with the rung/degraded stamp of the computation
-  // that produced them; stale entries (older model_version) can never
-  // match because the version is part of the key check.
-  ScoreCache* const cache = config_.score_cache;
-  uint64_t cache_fingerprint = 0;
-  if (cache != nullptr) {
-    cache_fingerprint =
-        ScoreCache::Fingerprint(request.docs, request.count, request.stride);
-    ScoreCache::Entry entry;
-    if (cache->Lookup(cache_fingerprint, state.version, request.count,
-                      &entry)) {
-      resp.status = Status::Ok();
-      resp.scores = std::move(entry.scores);
-      resp.rung = entry.rung;
-      if (entry.rung >= 0 &&
-          static_cast<size_t>(entry.rung) < ladder.num_rungs()) {
-        resp.rung_name = ladder.rung(static_cast<size_t>(entry.rung)).name;
-      }
-      resp.degraded = entry.degraded;
-      resp.cache_hit = true;
-      Bump(counters_.ok);
-      if (resp.degraded) Bump(counters_.degraded);
-      resp.total_micros = clock_->NowMicros() - start;
-      cache_hit_histogram_->Record(static_cast<double>(resp.total_micros));
-      return resp;
-    }
   }
 
   // Strongest rung that fits the initial budget irrespective of breaker
@@ -286,12 +324,11 @@ ServeResponse ServingEngine::Process(const LadderState& state,
     resp.status = Status::DeadlineExceeded(
         "budget of " + std::to_string(initial_remaining) +
         " us cannot fit the cheapest rung");
-    resp.total_micros = clock_->NowMicros() - start;
+    resp.total_micros = elapsed();
     return resp;
   }
 
-  // Sized only once a rung is going to run: a hit brings its own scores and
-  // a shed response carries none.
+  // Sized only once a rung is going to run: a shed response carries none.
   resp.scores.assign(request.count, 0.0f);
   bool attempted_any = false;
   for (size_t r = static_cast<size_t>(strongest_feasible); r < num_rungs;
@@ -356,20 +393,26 @@ ServeResponse ServingEngine::Process(const LadderState& state,
       Bump(counters_.ok);
       Bump(counters_.served_by_rung[r]);
       if (resp.degraded) Bump(counters_.degraded);
-      resp.total_micros = clock_->NowMicros() - start;
-      state.rung_latency[r]->Record(static_cast<double>(resp.total_micros));
-      if (cache != nullptr) {
-        // Stamped with the pinned generation: a swap published mid-request
-        // makes this entry stale for all future lookups, by construction.
-        cache->Insert(cache_fingerprint, state.version, resp.scores.data(),
-                      request.count, resp.rung, resp.degraded);
+      const uint64_t worker_micros = clock_->NowMicros() - start;
+      resp.total_micros = item.lookup_micros + worker_micros;
+      // The rung histogram, and the predictor drift read from it, keep
+      // measuring the worker's own time: Submit's lookup is not rung cost.
+      state.rung_latency[r]->Record(static_cast<double>(worker_micros));
+      if (config_.score_cache != nullptr) {
+        // Stamped with the pinned generation, which may be newer than the
+        // one Submit looked up under: the entry records who scored it, and
+        // a swap published mid-request makes it stale for all future
+        // lookups, by construction.
+        config_.score_cache->Insert(item.fingerprint, state.version,
+                                    resp.scores.data(), request.count,
+                                    resp.rung, resp.degraded);
       }
       return resp;
     }
   }
 
   resp.scores.clear();  // partial output from a faulted rung must not leak
-  resp.total_micros = clock_->NowMicros() - start;
+  resp.total_micros = elapsed();
   if (remaining() <= 0) {
     Bump(counters_.deadline_exceeded);
     resp.status = Status::DeadlineExceeded(

@@ -2,15 +2,22 @@
 // Lookup/Insert/stats contract, the no-stale-score guarantee (a version
 // mismatch is rejected and dropped, never served), the LRU bound under
 // Zipfian key traffic, and the engine integration — a cache hit must skip
-// the scorer entirely yet be bitwise identical to cache-off serving, and a
-// SwapModel must invalidate every prior entry through generation stamping.
-// Runs under the `threaded` ctest label for the concurrent smoke.
+// the scorer entirely yet be bitwise identical to cache-off serving, is
+// answered in Submit without a worker or a queue slot, still obeys the
+// stopped and expired-deadline shed rules, and a SwapModel must invalidate
+// every prior entry through generation stamping. Runs under the `threaded`
+// ctest label for the concurrent smokes.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <cstring>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -19,6 +26,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "replay/zipf.h"
+#include "serve/deadline.h"
 #include "serve/engine.h"
 #include "serve/ladder.h"
 #include "serve/score_cache.h"
@@ -31,6 +39,8 @@ using serve::DegradationLadder;
 using serve::ScoreCache;
 using serve::ScoreCacheConfig;
 using serve::ScoreCacheStats;
+using serve::ServeCountersSnapshot;
+using serve::ServeRequest;
 using serve::ServeResponse;
 using serve::ServingConfig;
 using serve::ServingEngine;
@@ -57,6 +67,45 @@ class CountingScorer : public serve::FallibleScorer {
  private:
   float bias_;
   mutable std::atomic<uint64_t> calls_{0};
+};
+
+/// Affine scorer behind a gate: open, it scores like CountingScorer; closed,
+/// TryScore blocks until the gate opens, so a test can hold the only worker
+/// inside a rung.
+class GateScorer : public serve::FallibleScorer {
+ public:
+  std::string_view name() const override { return "gate"; }
+  Status TryScore(const float* docs, uint32_t count, uint32_t stride,
+                  float* out) const override {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++entered_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return open_; });
+    for (uint32_t i = 0; i < count; ++i) {
+      out[i] = 0.5f * docs[static_cast<size_t>(i) * stride];
+    }
+    return Status::Ok();
+  }
+
+  void Close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = false;
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  void WaitUntilEntered(uint32_t times) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_ >= times; });
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable uint32_t entered_ = 0;
+  mutable bool open_ = true;
 };
 
 /// A single-rung ladder plus the scorer it borrows, owned together (the
@@ -88,6 +137,20 @@ std::vector<float> MakeDocs(uint32_t count, uint32_t stride, uint64_t seed) {
   std::vector<float> docs(static_cast<size_t>(count) * stride);
   for (float& v : docs) v = static_cast<float>(rng.Uniform());
   return docs;
+}
+
+ServeRequest MakeRequest(const std::vector<float>& docs, uint32_t count,
+                         uint32_t stride) {
+  ServeRequest request;
+  request.docs = docs.data();
+  request.count = count;
+  request.stride = stride;
+  return request;
+}
+
+uint64_t Lookups(const ScoreCache& cache) {
+  const ScoreCacheStats stats = cache.Stats();
+  return stats.hits + stats.misses;
 }
 
 // ----------------------------------------------------------------- unit level
@@ -315,6 +378,207 @@ TEST(ScoreCacheTest, CacheOnAndOffServeBitwiseIdenticalScores) {
   }
   cached.Stop();
   plain.Stop();
+}
+
+TEST(ScoreCacheTest, HitIsAnsweredInSubmitWhileTheWorkerIsBlocked) {
+  GateScorer gate;
+  DegradationLadder ladder;
+  ASSERT_TRUE(ladder.AddRung("gate", &gate, 1.0).ok());
+  ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 1,
+                                    .metric_prefix = "test.cache.inline"});
+  ServingConfig config;
+  config.num_workers = 1;
+  config.queue_capacity = 1;
+  config.score_cache = &cache;
+  ServingEngine engine(&ladder, config);
+  // Opens the gate on every way out, before the engine's destructor joins
+  // the worker it holds: a failed ASSERT then fails the test, not hangs it.
+  struct OpenOnExit {
+    GateScorer& gate;
+    ~OpenOnExit() { gate.Open(); }
+  } open_on_exit{gate};
+
+  const std::vector<float> hot = MakeDocs(8, 4, 30);
+  const std::vector<float> blocker = MakeDocs(8, 4, 31);
+  const std::vector<float> queued = MakeDocs(8, 4, 32);
+  const std::vector<float> cold = MakeDocs(8, 4, 33);
+  const ServeResponse first = engine.ScoreSync(hot.data(), 8, 4, kBudgetMicros);
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+
+  // The only worker blocks inside the rung, and a second miss fills the
+  // one queue slot.
+  gate.Close();
+  std::future<ServeResponse> blocked =
+      engine.Submit(MakeRequest(blocker, 8, 4));
+  gate.WaitUntilEntered(2);
+  std::future<ServeResponse> waiting = engine.Submit(MakeRequest(queued, 8, 4));
+
+  // The hot batch needs neither: its future is resolved when Submit returns.
+  std::future<ServeResponse> hit = engine.Submit(MakeRequest(hot, 8, 4));
+  ASSERT_EQ(hit.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  const ServeResponse answer = hit.get();
+  ASSERT_TRUE(answer.status.ok()) << answer.status.ToString();
+  EXPECT_TRUE(answer.cache_hit);
+  EXPECT_EQ(answer.scores, first.scores);
+  EXPECT_EQ(answer.rung_name, "gate");
+  EXPECT_EQ(answer.model_version, 1u);
+  EXPECT_EQ(answer.queue_micros, 0u);
+  // The queue really was full: a cold batch sheds.
+  EXPECT_EQ(engine.Submit(MakeRequest(cold, 8, 4)).get().status.code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(engine.counters().Snapshot().shed_queue_full, 1u);
+
+  gate.Open();
+  EXPECT_TRUE(blocked.get().status.ok());
+  EXPECT_TRUE(waiting.get().status.ok());
+  engine.Stop();
+}
+
+TEST(ScoreCacheTest, StoppedEngineShedsAWouldBeHit) {
+  const LadderHandle handle = MakeCountingLadder(1.0f);
+  ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 1,
+                                    .metric_prefix = "test.cache.stopped"});
+  ServingConfig config;
+  config.num_workers = 1;
+  config.score_cache = &cache;
+  ServingEngine engine(handle.ladder, config);
+  const std::vector<float> docs = MakeDocs(8, 4, 40);
+  ASSERT_TRUE(engine.ScoreSync(docs.data(), 8, 4, kBudgetMicros).status.ok());
+  engine.Stop();
+
+  const uint64_t lookups = Lookups(cache);
+  const ServeResponse shed = engine.ScoreSync(docs.data(), 8, 4, kBudgetMicros);
+  EXPECT_EQ(shed.status.code(), StatusCode::kResourceExhausted);
+  EXPECT_FALSE(shed.cache_hit);
+  EXPECT_TRUE(shed.scores.empty());
+  const ServeCountersSnapshot counters = engine.counters().Snapshot();
+  EXPECT_EQ(counters.shed_stopped, 1u);
+  EXPECT_EQ(counters.ok, 1u);
+  EXPECT_EQ(Lookups(cache), lookups);  // shed before the lookup
+}
+
+TEST(ScoreCacheTest, ExpiredDeadlineShedsAWouldBeHit) {
+  const LadderHandle handle = MakeCountingLadder(1.0f);
+  ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 1,
+                                    .metric_prefix = "test.cache.expired"});
+  ServingConfig config;
+  config.num_workers = 1;
+  config.score_cache = &cache;
+  ServingEngine engine(handle.ladder, config);
+  const std::vector<float> docs = MakeDocs(8, 4, 41);
+  ASSERT_TRUE(engine.ScoreSync(docs.data(), 8, 4, kBudgetMicros).status.ok());
+
+  const uint64_t lookups = Lookups(cache);
+  ServeRequest request = MakeRequest(docs, 8, 4);
+  request.deadline = serve::Deadline::AfterMicros(engine.clock(), 0);
+  const ServeResponse shed = engine.Submit(request).get();
+  EXPECT_EQ(shed.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(shed.cache_hit);
+  EXPECT_TRUE(shed.scores.empty());
+  EXPECT_EQ(engine.counters().Snapshot().shed_deadline, 1u);
+  EXPECT_EQ(Lookups(cache), lookups);  // shed before the lookup
+  engine.Stop();
+}
+
+TEST(ScoreCacheTest, MissCountsExactlyOneLookup) {
+  const LadderHandle handle = MakeCountingLadder(1.0f);
+  ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 1,
+                                    .metric_prefix = "test.cache.onelookup"});
+  ServingConfig config;
+  config.num_workers = 1;
+  config.score_cache = &cache;
+  ServingEngine engine(handle.ladder, config);
+  const std::vector<float> docs = MakeDocs(8, 4, 42);
+
+  const ServeResponse miss = engine.ScoreSync(docs.data(), 8, 4, kBudgetMicros);
+  ASSERT_TRUE(miss.status.ok());
+  EXPECT_FALSE(miss.cache_hit);
+  const ScoreCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 0u);
+  // The worker inserted under the fingerprint Submit took.
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_TRUE(engine.ScoreSync(docs.data(), 8, 4, kBudgetMicros).cache_hit);
+  engine.Stop();
+}
+
+TEST(ScoreCacheTest, ConcurrentSubmitsStayBitwiseAcrossSwaps) {
+  // Odd generations serve `even_odd[1]`, even ones `even_odd[0]`: the
+  // engine starts at version 1 and every swap flips the ladder.
+  const LadderHandle even_odd[2] = {MakeCountingLadder(2.0f),
+                                    MakeCountingLadder(1.0f)};
+  constexpr uint32_t kSets = 6;
+  constexpr uint32_t kCount = 12;
+  constexpr uint32_t kStride = 5;
+  std::vector<std::vector<float>> sets;
+  std::vector<float> reference[2][kSets];
+  for (uint32_t q = 0; q < kSets; ++q) {
+    sets.push_back(MakeDocs(kCount, kStride, 50 + q));
+    for (int g = 0; g < 2; ++g) {
+      reference[g][q].resize(kCount);
+      ASSERT_TRUE(even_odd[g]
+                      .scorer
+                      ->TryScore(sets[q].data(), kCount, kStride,
+                                 reference[g][q].data())
+                      .ok());
+    }
+  }
+  ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 2,
+                                    .metric_prefix = "test.cache.swaprace"});
+  ServingConfig config;
+  config.num_workers = 2;
+  config.queue_capacity = 256;
+  config.score_cache = &cache;
+  ServingEngine engine(even_odd[1].ladder, config);
+
+  // Submitters keep going until the swapper is done, so every swap lands
+  // among live requests however fast or slow the build is.
+  constexpr int kSubmitters = 4;
+  constexpr int kMinRequestsEach = 200;
+  constexpr int kSwaps = 40;
+  std::atomic<bool> swapping{true};
+  std::atomic<uint64_t> requests{0};
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> mismatches{0};
+  std::atomic<uint64_t> failures{0};
+  std::vector<std::thread> submitters;
+  submitters.reserve(kSubmitters);
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      Rng rng(static_cast<uint64_t>(t) + 7);
+      for (int i = 0; swapping.load() || i < kMinRequestsEach; ++i) {
+        requests.fetch_add(1);
+        const auto q = static_cast<uint32_t>(rng.Below(kSets));
+        const ServeResponse resp =
+            engine.ScoreSync(sets[q].data(), kCount, kStride, kBudgetMicros);
+        if (!resp.status.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        if (resp.cache_hit) hits.fetch_add(1);
+        const std::vector<float>& want = reference[resp.model_version % 2][q];
+        if (resp.scores.size() != want.size() ||
+            std::memcmp(resp.scores.data(), want.data(),
+                        want.size() * sizeof(float)) != 0) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (int s = 0; s < kSwaps; ++s) {
+    EXPECT_TRUE(engine.SwapModel(even_odd[s % 2].ladder).ok());
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  swapping.store(false);
+  for (std::thread& submitter : submitters) submitter.join();
+  engine.Stop();
+
+  EXPECT_EQ(engine.model_version(), 1u + kSwaps);
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(mismatches.load(), 0u);
+  // Both paths ran: some requests hit, the rest were scored by a worker.
+  EXPECT_GT(hits.load(), 0u);
+  EXPECT_LT(hits.load(), requests.load());
 }
 
 TEST(ScoreCacheTest, ConcurrentLookupInsertSmoke) {
