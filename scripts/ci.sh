@@ -111,6 +111,16 @@ cmp out/ci_model.bundle out/ci_model.roundtrip.bundle || {
   echo "ci.sh: text -> binary -> text round trip is not byte-identical" >&2
   exit 1
 }
+# Unpacking the binary bundle must give back the exact model files it was
+# packed from.
+out/release/tools/dnlr_cli bundle unpack --in out/ci_model.bundle.bin \
+  --out-dir out/ci_unpack >/dev/null
+for model in teacher student; do
+  cmp "out/ci_unpack/${model}.txt" "out/ci_bundle_${model}.txt" || {
+    echo "ci.sh: bundle unpack changed ${model}.txt" >&2
+    exit 1
+  }
+done
 out/release/tools/dnlr_cli bundle bench --min-speedup 10 \
   --dir out >/dev/null
 out/release/tools/dnlr_cli serve-bench --reload-every 25 --requests 100 \

@@ -37,7 +37,7 @@ bool IsBinaryBundle(std::string_view bytes) {
   return std::memcmp(bytes.data(), magic, kBinaryMagicBytes) == 0;
 }
 
-Result<std::vector<BinarySectionRange>> ParseBinaryLayout(
+Result<std::vector<SectionRange>> ParseBinaryLayout(
     std::string_view bytes) {
   if (!IsBinaryBundle(bytes)) {
     return Status::ParseError("not a binary dnlr bundle (bad magic)");
@@ -106,12 +106,12 @@ Result<std::vector<BinarySectionRange>> ParseBinaryLayout(
     return Status::ParseError("truncated binary bundle payload region");
   }
 
-  std::vector<BinarySectionRange> sections(num_sections);
+  std::vector<SectionRange> sections(num_sections);
   BinaryReader entries(table);
   int previous_index = -1;
   uint64_t expected_offset = payload_offset;
   for (uint32_t s = 0; s < num_sections; ++s) {
-    BinarySectionRange& range = sections[s];
+    SectionRange& range = sections[s];
     std::string_view name_field;
     uint32_t entry_reserved = 0;
     if (!entries.ReadView(kBinarySectionNameBytes, &name_field) ||

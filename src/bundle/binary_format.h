@@ -43,7 +43,7 @@ namespace dnlr::bundle {
 /// full structural validation of every offset/size — overflow-safe, so a
 /// forged 2^64-1 size cannot wrap past the bounds check). Payload CRCs
 /// cover megabytes and are verified once at pack time plus on demand
-/// (`bundle verify`, ModelBundle::DeserializeBinary), never per map.
+/// (`bundle verify`, MappedBundle::VerifyPayloadCrcs), never per map.
 inline constexpr std::string_view kBinaryMagic = "dnlrbundle2";
 inline constexpr uint32_t kBinaryFormatVersion = 2;
 inline constexpr size_t kBinaryMagicBytes = 12;
@@ -51,14 +51,6 @@ inline constexpr size_t kBinaryHeaderBytes = 64;
 inline constexpr size_t kBinarySectionEntryBytes = 48;
 inline constexpr size_t kBinarySectionNameBytes = 24;
 inline constexpr size_t kBinaryMaxSections = 16;
-
-/// One validated section-table entry: where a payload lives in the file.
-struct BinarySectionRange {
-  std::string name;
-  uint64_t offset = 0;
-  uint64_t size = 0;
-  uint32_t crc32 = 0;
-};
 
 /// True when `bytes` begins with the v2 binary magic (format sniffing; a v1
 /// text bundle starts with "dnlrbundle " instead).
@@ -70,7 +62,7 @@ bool IsBinaryBundle(std::string_view bytes);
 /// mismatch, length mismatch, misaligned / overlapping / out-of-order /
 /// duplicate / unknown sections, overflow-forged sizes, truncation,
 /// trailing bytes) yields a distinct ParseError.
-Result<std::vector<BinarySectionRange>> ParseBinaryLayout(
+Result<std::vector<SectionRange>> ParseBinaryLayout(
     std::string_view bytes);
 
 /// Serializes `sections` (already canonically ordered, as ModelBundle

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <locale>
 #include <sstream>
@@ -12,6 +11,7 @@
 #include "bundle/crc32.h"
 #include "common/binio.h"
 #include "common/file_util.h"
+#include "common/string_util.h"
 
 namespace dnlr::bundle {
 namespace {
@@ -20,12 +20,6 @@ namespace {
 /// sort key SetSection keeps sections_ ordered by.
 constexpr const char* kCanonicalOrder[] = {
     kTeacherSection, kStudentSection, kNormalizerSection, kRungsSection};
-
-std::string CrcHex(uint32_t crc) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%08x", crc);
-  return buf;
-}
 
 /// Parses a section-header CRC field: exactly eight lowercase-or-uppercase
 /// hex digits, nothing else. strtoul is deliberately NOT used here — it
@@ -130,6 +124,12 @@ Result<RungConfig> RungConfig::Deserialize(const std::string& text) {
   size_t count = 0;
   if (!(in >> keyword >> count) || keyword != "rungs") {
     return Status::ParseError("expected 'rungs <n>' header");
+  }
+  // Each rung line is four tokens.
+  if (count > MaxTokensLeft(in) / 4) {
+    return Status::ParseError("rung config declares " +
+                              std::to_string(count) +
+                              " rungs, more than its text holds");
   }
   RungConfig config;
   config.rungs.resize(count);
@@ -252,6 +252,11 @@ Result<data::ZNormalizer> DeserializeNormalizer(const std::string& text) {
   if (!(in >> keyword >> count) || keyword != "znorm" || count == 0) {
     return Status::ParseError("expected 'znorm <n>' header");
   }
+  // A mean and a stddev per feature.
+  if (count > MaxTokensLeft(in) / 2) {
+    return Status::ParseError("normalizer declares " + std::to_string(count) +
+                              " features, more than its text holds");
+  }
   std::vector<float> mean(count);
   std::vector<float> stddev(count);
   for (float& m : mean) {
@@ -315,80 +320,13 @@ Status ModelBundle::SetRungs(const RungConfig& rungs) {
   return SetSection(kRungsSection, std::move(*text));
 }
 
-bool ModelBundle::HasSection(const std::string& name) const {
-  return FindSection(name) != nullptr;
-}
-
-const std::string* ModelBundle::FindSection(const std::string& name) const {
-  for (const Section& section : sections_) {
-    if (section.name == name) return &section.payload;
-  }
-  return nullptr;
-}
-
-namespace {
-
-/// Payload-codec sniffing: binary payloads open with a 4-byte tag
-/// ("MLP2"/"GBT2"/"ZNM2"/"RNG2"); text payloads open with an ASCII keyword
-/// ("mlp"/"ensemble"/"znorm"/"rungs"), so four bytes decide the codec.
-bool PayloadHasTag(const std::string& payload, std::string_view tag) {
-  return payload.size() >= tag.size() &&
-         std::string_view(payload).substr(0, tag.size()) == tag;
-}
-
-}  // namespace
-
-Result<gbdt::Ensemble> ModelBundle::Teacher() const {
-  const std::string* payload = FindSection(kTeacherSection);
-  if (payload == nullptr) {
-    return Status::NotFound("bundle has no teacher section");
-  }
-  if (PayloadHasTag(*payload, "GBT2")) {
-    return gbdt::Ensemble::DeserializeBinary(*payload);
-  }
-  return gbdt::Ensemble::Deserialize(*payload);
-}
-
-Result<nn::Mlp> ModelBundle::Student() const {
-  const std::string* payload = FindSection(kStudentSection);
-  if (payload == nullptr) {
-    return Status::NotFound("bundle has no student section");
-  }
-  if (PayloadHasTag(*payload, "MLP2")) {
-    return nn::Mlp::DeserializeBinary(*payload);
-  }
-  return nn::Mlp::Deserialize(*payload);
-}
-
-Result<data::ZNormalizer> ModelBundle::Normalizer() const {
-  const std::string* payload = FindSection(kNormalizerSection);
-  if (payload == nullptr) {
-    return Status::NotFound("bundle has no normalizer section");
-  }
-  if (PayloadHasTag(*payload, "ZNM2")) {
-    return data::ZNormalizer::DeserializeBinary(*payload);
-  }
-  return DeserializeNormalizer(*payload);
-}
-
-Result<RungConfig> ModelBundle::Rungs() const {
-  const std::string* payload = FindSection(kRungsSection);
-  if (payload == nullptr) {
-    return Status::NotFound("bundle has no rungs section");
-  }
-  if (PayloadHasTag(*payload, "RNG2")) {
-    return RungConfig::DeserializeBinary(*payload);
-  }
-  return RungConfig::Deserialize(*payload);
-}
-
 std::string ModelBundle::Serialize() const {
   std::ostringstream out;
   out.imbue(std::locale::classic());
   out << kMagic << ' ' << kFormatVersion << ' ' << sections_.size() << '\n';
   for (const Section& section : sections_) {
     out << "section " << section.name << ' ' << section.payload.size() << ' '
-        << CrcHex(Crc32(section.payload)) << '\n';
+        << Crc32Hex(Crc32(section.payload)) << '\n';
   }
   out << "payload\n";
   for (const Section& section : sections_) {
@@ -399,96 +337,73 @@ std::string ModelBundle::Serialize() const {
 
 namespace {
 
-/// Re-encodes one section payload into the codec paired with `format`,
-/// passing it through untouched when it is already in that codec. The text
-/// codecs print max_digits10 under the classic locale, so parse + re-encode
-/// round-trips every float bitwise — conversion is score-lossless by
+/// Re-encodes one stored text payload with the binary codec of its section.
+/// The text codecs print max_digits10 under the classic locale, so parse +
+/// re-encode keeps every float bitwise: conversion is score-lossless by
 /// construction.
-Result<std::string> ConvertPayload(const std::string& name,
-                                   const std::string& payload,
-                                   BundleFormat format) {
-  const bool want_binary = format == BundleFormat::kBinary;
-  if (name == kTeacherSection) {
-    if (PayloadHasTag(payload, "GBT2") == want_binary) return payload;
+Result<std::string> EncodeBinaryPayload(const Section& section) {
+  if (section.name == kTeacherSection) {
     Result<gbdt::Ensemble> teacher =
-        want_binary ? gbdt::Ensemble::Deserialize(payload)
-                    : gbdt::Ensemble::DeserializeBinary(payload);
+        gbdt::Ensemble::Deserialize(section.payload);
     if (!teacher.ok()) return teacher.status();
-    return want_binary ? teacher->SerializeBinary() : teacher->Serialize();
+    return teacher->SerializeBinary();
   }
-  if (name == kStudentSection) {
-    if (PayloadHasTag(payload, "MLP2") == want_binary) return payload;
-    Result<nn::Mlp> student = want_binary
-                                  ? nn::Mlp::Deserialize(payload)
-                                  : nn::Mlp::DeserializeBinary(payload);
+  if (section.name == kStudentSection) {
+    Result<nn::Mlp> student = nn::Mlp::Deserialize(section.payload);
     if (!student.ok()) return student.status();
-    return want_binary ? student->SerializeBinary() : student->Serialize();
+    return student->SerializeBinary();
   }
-  if (name == kNormalizerSection) {
-    if (PayloadHasTag(payload, "ZNM2") == want_binary) return payload;
+  if (section.name == kNormalizerSection) {
     Result<data::ZNormalizer> normalizer =
-        want_binary ? DeserializeNormalizer(payload)
-                    : data::ZNormalizer::DeserializeBinary(payload);
+        DeserializeNormalizer(section.payload);
     if (!normalizer.ok()) return normalizer.status();
-    return want_binary ? normalizer->SerializeBinary()
-                       : SerializeNormalizer(*normalizer);
+    return normalizer->SerializeBinary();
   }
-  if (name == kRungsSection) {
-    if (PayloadHasTag(payload, "RNG2") == want_binary) return payload;
-    Result<RungConfig> rungs = want_binary
-                                   ? RungConfig::Deserialize(payload)
-                                   : RungConfig::DeserializeBinary(payload);
-    if (!rungs.ok()) return rungs.status();
-    return want_binary ? rungs->SerializeBinary() : rungs->Serialize();
-  }
-  return Status::InvalidArgument("unknown bundle section '" + name + "'");
+  Result<RungConfig> rungs = RungConfig::Deserialize(section.payload);
+  if (!rungs.ok()) return rungs.status();
+  return rungs->SerializeBinary();
 }
 
 }  // namespace
 
 Result<std::string> ModelBundle::SerializeAs(BundleFormat format) const {
-  ModelBundle converted;
+  if (format == BundleFormat::kText) return Serialize();
+  std::vector<Section> binary;
   for (const Section& section : sections_) {
-    Result<std::string> payload =
-        ConvertPayload(section.name, section.payload, format);
+    Result<std::string> payload = EncodeBinaryPayload(section);
     if (!payload.ok()) {
       return Status::ParseError("cannot convert section '" + section.name +
                                 "': " + payload.status().message());
     }
-    converted.sections_.push_back(Section{section.name, std::move(*payload)});
+    binary.push_back(Section{section.name, std::move(*payload)});
   }
-  if (format == BundleFormat::kBinary) {
-    return BuildBinaryBundle(converted.sections_);
-  }
-  return converted.Serialize();
+  return BuildBinaryBundle(binary);
 }
 
-Result<ModelBundle> ModelBundle::DeserializeBinary(std::string_view bytes) {
-  Result<std::vector<BinarySectionRange>> layout = ParseBinaryLayout(bytes);
-  if (!layout.ok()) return layout.status();
-  ModelBundle bundle;
-  for (const BinarySectionRange& range : *layout) {
-    // ParseBinaryLayout only checks structure; a full decode additionally
-    // pays for payload CRCs, so flipped payload bits are caught here before
-    // any model parser sees them.
-    std::string_view payload = bytes.substr(range.offset, range.size);
-    const uint32_t actual = Crc32(payload);
-    if (actual != range.crc32) {
-      return Status::ParseError("crc mismatch in section '" + range.name +
-                                "' (header " + CrcHex(range.crc32) +
-                                ", payload " + CrcHex(actual) + ")");
-    }
-    // Layout validation already enforced canonical order and uniqueness.
-    bundle.sections_.push_back(Section{range.name, std::string(payload)});
-  }
-  return bundle;
+Status ModelBundle::SaveToFile(const std::string& path) const {
+  return AtomicWriteFile(path, Serialize());
 }
 
-Result<ModelBundle> ModelBundle::Deserialize(const std::string& bytes) {
-  if (IsBinaryBundle(bytes)) return DeserializeBinary(bytes);
-  // Header lines are parsed off an istream; payload bytes are then sliced
-  // out of `bytes` directly so binary payloads pass through untouched.
-  std::istringstream in = MakeIn(bytes);
+Status ModelBundle::SaveToFile(const std::string& path,
+                               BundleFormat format) const {
+  Result<std::string> bytes = SerializeAs(format);
+  if (!bytes.ok()) return bytes.status();
+  return AtomicWriteFile(path, *bytes);
+}
+
+// ---------------------------------------------------------------------------
+// Text container layout
+
+Result<std::vector<SectionRange>> ParseTextLayout(std::string_view bytes) {
+  // The header lines are parsed off a stream over the header alone (up to
+  // and including the marker line), so the payload bytes are never copied.
+  // The payload starts right after the newline that ends the marker line.
+  constexpr std::string_view kMarker = "\npayload\n";
+  const size_t marker = bytes.find(kMarker);
+  std::istringstream in = MakeIn(std::string(
+      bytes.substr(0, marker == std::string_view::npos
+                          ? bytes.size()
+                          : marker + kMarker.size())));
   std::string magic;
   uint32_t version = 0;
   size_t num_sections = 0;
@@ -503,104 +418,75 @@ Result<ModelBundle> ModelBundle::Deserialize(const std::string& bytes) {
                               std::to_string(version) + " (this build reads " +
                               std::to_string(kFormatVersion) + ")");
   }
+  // Sections are unique and canonical, so no valid header declares more;
+  // the check also bounds the allocation below.
+  if (num_sections > std::size(kCanonicalOrder)) {
+    return Status::ParseError("implausible bundle section count " +
+                              std::to_string(num_sections));
+  }
 
-  struct Declared {
-    std::string name;
-    size_t size = 0;
-    uint32_t crc = 0;
-  };
-  std::vector<Declared> declared(num_sections);
+  std::vector<SectionRange> ranges(num_sections);
   int previous_index = -1;
   for (size_t s = 0; s < num_sections; ++s) {
+    SectionRange& range = ranges[s];
     std::string keyword;
     std::string crc_hex;
-    if (!(in >> keyword >> declared[s].name >> declared[s].size >> crc_hex) ||
+    // operator>> reads "-1" into a size_t as SIZE_MAX without failing; the
+    // overflow-safe bounds check below turns that into "truncated".
+    size_t size = 0;
+    if (!(in >> keyword >> range.name >> size >> crc_hex) ||
         keyword != "section") {
       return Status::ParseError("malformed section header " +
                                 std::to_string(s));
     }
-    if (!ParseCrcHex8(crc_hex, &declared[s].crc)) {
+    range.size = size;
+    if (!ParseCrcHex8(crc_hex, &range.crc32)) {
       return Status::ParseError("malformed crc in section header '" +
-                                declared[s].name +
+                                range.name +
                                 "' (want exactly 8 hex digits, got '" +
                                 crc_hex + "')");
     }
-    const int index = CanonicalSectionIndex(declared[s].name);
+    const int index = CanonicalSectionIndex(range.name);
     if (index < 0) {
-      return Status::ParseError("unknown bundle section '" +
-                                declared[s].name + "'");
+      return Status::ParseError("unknown bundle section '" + range.name + "'");
     }
     if (index == previous_index) {
-      return Status::ParseError("duplicate bundle section '" +
-                                declared[s].name + "'");
+      return Status::ParseError("duplicate bundle section '" + range.name +
+                                "'");
     }
     if (index < previous_index) {
       return Status::ParseError(
-          "bundle section '" + declared[s].name +
+          "bundle section '" + range.name +
           "' out of canonical order (teacher, student, normalizer, rungs)");
     }
     previous_index = index;
   }
 
   std::string keyword;
-  if (!(in >> keyword) || keyword != "payload") {
+  if (!(in >> keyword) || keyword != "payload" ||
+      marker == std::string_view::npos) {
     return Status::ParseError("missing payload marker");
   }
-  // The payload starts right after the newline terminating the marker line.
-  const size_t marker = bytes.find("\npayload\n");
-  if (marker == std::string::npos) {
-    return Status::ParseError("missing payload marker");
-  }
-  size_t offset = marker + std::string("\npayload\n").size();
-
-  ModelBundle bundle;
-  for (const Declared& decl : declared) {
-    // Overflow-safe form: `offset + decl.size > bytes.size()` wraps when a
-    // forged header declares a size near SIZE_MAX (operator>> happily reads
-    // "-1" into a size_t as 18446744073709551615), which would wave the
-    // huge size through and let substr clamp it silently. `offset` itself
-    // is bounded by bytes.size() here, so the subtraction cannot underflow.
-    if (decl.size > bytes.size() - offset) {
+  uint64_t offset = marker + kMarker.size();
+  for (SectionRange& range : ranges) {
+    // Overflow-safe form: `offset + size > bytes.size()` wraps for a forged
+    // size near 2^64 and would wave it through. `offset` never exceeds
+    // bytes.size() here, so the subtraction cannot underflow.
+    if (range.size > bytes.size() - offset) {
       return Status::ParseError(
-          "truncated section '" + decl.name + "' (declares " +
-          std::to_string(decl.size) + " bytes, " +
+          "truncated section '" + range.name + "' (declares " +
+          std::to_string(range.size) + " bytes, " +
           std::to_string(bytes.size() - offset) + " remain)");
     }
-    std::string payload = bytes.substr(offset, decl.size);
-    offset += decl.size;
-    const uint32_t actual = Crc32(payload);
-    if (actual != decl.crc) {
-      return Status::ParseError("crc mismatch in section '" + decl.name +
-                                "' (header " + CrcHex(decl.crc) +
-                                ", payload " + CrcHex(actual) + ")");
-    }
-    // Declarations are already validated as canonical-ordered and unique,
-    // so appending preserves the invariant SetSection maintains.
-    bundle.sections_.push_back(Section{decl.name, std::move(payload)});
+    range.offset = offset;
+    offset += range.size;
   }
   if (offset != bytes.size()) {
     return Status::ParseError("trailing bytes after the last section (" +
                               std::to_string(bytes.size() - offset) +
                               " unaccounted)");
   }
-  return bundle;
-}
-
-Status ModelBundle::SaveToFile(const std::string& path) const {
-  return AtomicWriteFile(path, Serialize());
-}
-
-Status ModelBundle::SaveToFile(const std::string& path,
-                               BundleFormat format) const {
-  Result<std::string> bytes = SerializeAs(format);
-  if (!bytes.ok()) return bytes.status();
-  return AtomicWriteFile(path, *bytes);
-}
-
-Result<ModelBundle> ModelBundle::LoadFromFile(const std::string& path) {
-  Result<std::string> bytes = ReadFileToString(path);
-  if (!bytes.ok()) return bytes.status();
-  return Deserialize(*bytes);
+  return ranges;
 }
 
 }  // namespace dnlr::bundle

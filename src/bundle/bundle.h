@@ -1,6 +1,7 @@
 #ifndef DNLR_BUNDLE_BUNDLE_H_
 #define DNLR_BUNDLE_BUNDLE_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -33,7 +34,7 @@ inline constexpr uint32_t kFormatVersion = 1;
 enum class BundleFormat { kText, kBinary };
 
 /// Canonical position of `name` in the section order, or -1 for unknown
-/// names. Shared by the v1 text parser and the v2 binary layout validator.
+/// names. Shared by the v1 text and v2 binary layout parsers.
 int CanonicalSectionIndex(const std::string& name);
 
 /// Canonical section names, in the only order a valid bundle may declare
@@ -77,9 +78,18 @@ struct Section {
   std::string payload;
 };
 
-/// The versioned model-bundle container.
-///
-/// On-disk layout (header is line-oriented ASCII, payload is raw bytes):
+/// Where one section's payload lives inside a container's bytes, as the
+/// layout parsers of both formats report it (ParseTextLayout below,
+/// ParseBinaryLayout in binary_format.h). Payloads are read through these
+/// ranges as views into the one buffer; nothing is copied per section.
+struct SectionRange {
+  std::string name;
+  uint64_t offset = 0;
+  uint64_t size = 0;
+  uint32_t crc32 = 0;
+};
+
+/// Structural validation of a v1 text container:
 ///
 ///   dnlrbundle <format-version> <num-sections>\n
 ///   section <name> <payload-bytes> <crc32-hex8>\n     (one per section,
@@ -87,13 +97,21 @@ struct Section {
 ///   payload\n
 ///   <section payloads, concatenated in declared order>
 ///
-/// Deserialize verifies the magic, version, section order and every
-/// section's length and CRC32 before any model parser runs, and each
-/// corruption mode yields a distinct ParseError (bad magic, unsupported
-/// version, malformed header, section out of order, truncated section, crc
-/// mismatch) — a corrupt bundle can never be mistaken for a model.
-/// SaveToFile is crash-safe (temp file + flush + fsync + atomic rename), so
-/// a crash at any point during save leaves the published path untouched.
+/// Checks the magic, version, section count, section order and every
+/// declared length, each corruption mode with a distinct ParseError (bad
+/// magic, unsupported version, malformed header, implausible section count,
+/// section out of order, duplicate or unknown section, malformed crc,
+/// missing payload marker, truncated section, trailing bytes). Like
+/// ParseBinaryLayout it does not read payload bytes; the reader
+/// (bundle/mapped_bundle.h) checks the payload CRCs of a text container
+/// before it hands any section out.
+Result<std::vector<SectionRange>> ParseTextLayout(std::string_view bytes);
+
+/// The bundle writer. Payloads enter only through the typed setters, which
+/// store the text codec; Serialize/SerializeAs/SaveToFile write either
+/// container. Reading a bundle back is bundle::MappedBundle's job. SaveToFile
+/// is crash-safe (temp file + flush + fsync + atomic rename), so a crash at
+/// any point during save leaves the published path untouched.
 class ModelBundle {
  public:
   /// Typed setters: each serializes its object into the matching section
@@ -104,43 +122,20 @@ class ModelBundle {
   Status SetNormalizer(const data::ZNormalizer& normalizer);
   Status SetRungs(const RungConfig& rungs);
 
-  bool HasSection(const std::string& name) const;
-  /// Raw payload of a section, or nullptr when absent.
-  const std::string* FindSection(const std::string& name) const;
+  /// Sections in canonical order, each holding its text payload.
   const std::vector<Section>& sections() const { return sections_; }
 
-  /// Typed getters: parse the matching section. NotFound when the section
-  /// is absent; the model parsers' ParseError otherwise. Each getter sniffs
-  /// the payload codec from its leading bytes ("MLP2"/"GBT2"/"ZNM2"/"RNG2"
-  /// tag = binary, anything else = text), so a bundle deserialized from
-  /// either container format reads back identically.
-  Result<gbdt::Ensemble> Teacher() const;
-  Result<nn::Mlp> Student() const;
-  Result<data::ZNormalizer> Normalizer() const;
-  Result<RungConfig> Rungs() const;
-
-  /// v1 text container with payloads exactly as stored.
+  /// v1 text container.
   std::string Serialize() const;
 
-  /// Serializes to the requested container format, converting every payload
-  /// to that format's paired codec (text↔binary conversion re-encodes via
-  /// parse + serialize, which is bitwise lossless). Fails with the payload
-  /// parser's error if a stored payload is corrupt.
+  /// Serializes to the requested container format. The binary container
+  /// carries the binary payload codecs, re-encoded from the stored text by
+  /// parse + serialize, which is bitwise lossless.
   Result<std::string> SerializeAs(BundleFormat format) const;
-
-  /// Sniffs the container format from the leading magic and dispatches to
-  /// the v1 text parser or DeserializeBinary.
-  static Result<ModelBundle> Deserialize(const std::string& bytes);
-
-  /// Full-copy decode of a v2 binary container: validates the layout
-  /// (binary_format.h), then verifies every payload CRC before slicing
-  /// sections out. The zero-copy map path lives in bundle/mapped_bundle.h.
-  static Result<ModelBundle> DeserializeBinary(std::string_view bytes);
 
   /// Crash-safe save via common::AtomicWriteFile.
   Status SaveToFile(const std::string& path) const;
   Status SaveToFile(const std::string& path, BundleFormat format) const;
-  static Result<ModelBundle> LoadFromFile(const std::string& path);
 
  private:
   /// Inserts or replaces `name`, keeping sections_ in canonical order.

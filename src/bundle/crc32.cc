@@ -1,6 +1,7 @@
 #include "bundle/crc32.h"
 
 #include <array>
+#include <cstdio>
 
 namespace dnlr::bundle {
 namespace {
@@ -34,6 +35,12 @@ uint32_t Crc32Update(uint32_t crc, const void* data, size_t size) {
 
 uint32_t Crc32(std::string_view data) {
   return Crc32Update(0, data.data(), data.size());
+}
+
+std::string Crc32Hex(uint32_t crc) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "%08x", crc);
+  return buf;
 }
 
 }  // namespace dnlr::bundle

@@ -2,6 +2,7 @@
 #define DNLR_BUNDLE_CRC32_H_
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace dnlr::bundle {
@@ -14,6 +15,9 @@ uint32_t Crc32(std::string_view data);
 
 /// Incremental form: feed `crc` the previous return value (start with 0).
 uint32_t Crc32Update(uint32_t crc, const void* data, size_t size);
+
+/// The eight lowercase hex digits a text bundle header stores a CRC as.
+std::string Crc32Hex(uint32_t crc);
 
 }  // namespace dnlr::bundle
 

@@ -103,10 +103,14 @@ Result<MappedFile> MappedFile::Open(const std::string& path,
 #endif
   Result<std::string> bytes = ReadFileToString(path);
   if (!bytes.ok()) return bytes.status();
-  file.fallback_ = std::move(bytes).value();
+  return FromBytes(std::move(bytes).value());
+}
+
+MappedFile MappedFile::FromBytes(std::string bytes) {
+  MappedFile file;
+  file.fallback_ = std::move(bytes);
   file.data_ = file.fallback_.data();
   file.size_ = file.fallback_.size();
-  file.mapped_ = false;
   return file;
 }
 

@@ -37,6 +37,10 @@ class MappedFile {
   static Result<MappedFile> Open(const std::string& path,
                                  bool prefer_mmap = true);
 
+  /// Adopts `bytes` as the heap buffer, exactly as Open's read fallback
+  /// does, so bytes already in memory get the same view-based API.
+  static MappedFile FromBytes(std::string bytes);
+
   const char* data() const { return data_; }
   size_t size() const { return size_; }
   std::string_view view() const { return {data_, size_}; }

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <istream>
 
 namespace dnlr {
 
@@ -57,6 +58,13 @@ std::string FormatFixed(double value, int digits) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.*f", digits, value);
   return buffer;
+}
+
+size_t MaxTokensLeft(std::istream& in) {
+  // in_avail() reads the buffer without touching the stream state; on a
+  // string stream it is the whole unread rest (-1 once exhausted).
+  const std::streamsize left = in.rdbuf()->in_avail();
+  return left > 0 ? (static_cast<size_t>(left) + 1) / 2 : 0;
 }
 
 }  // namespace dnlr

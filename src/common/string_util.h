@@ -1,6 +1,8 @@
 #ifndef DNLR_COMMON_STRING_UTIL_H_
 #define DNLR_COMMON_STRING_UTIL_H_
 
+#include <cstddef>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,6 +26,12 @@ bool ParseFloat(std::string_view text, float* out);
 
 /// Formats `value` with `digits` digits after the decimal point.
 std::string FormatFixed(double value, int digits);
+
+/// Most whitespace-separated tokens the unread rest of a string stream can
+/// still hold (each takes a byte plus a separator). Text parsers check a
+/// declared count against it before allocating for it, so a forged count
+/// in a few bytes of input fails to parse instead of exhausting memory.
+size_t MaxTokensLeft(std::istream& in);
 
 }  // namespace dnlr
 

@@ -11,6 +11,7 @@
 #include "common/aligned.h"
 #include "common/binio.h"
 #include "common/file_util.h"
+#include "common/string_util.h"
 #include "gbdt/validate.h"
 
 namespace dnlr::gbdt {
@@ -122,6 +123,14 @@ Result<Ensemble> Ensemble::Deserialize(const std::string& text) {
     if (!(in >> keyword >> num_nodes >> num_leaves) || keyword != "tree") {
       return Status::ParseError("expected 'tree <nodes> <leaves>' for tree " +
                                 std::to_string(t));
+    }
+    // A node line is five tokens and a leaf line two; both counts must fit
+    // in the text left before either array is allocated.
+    const size_t tokens = MaxTokensLeft(in);
+    if (num_nodes > tokens / 5 || num_leaves > (tokens - 5 * num_nodes) / 2) {
+      return Status::ParseError("tree " + std::to_string(t) +
+                                " declares more nodes and leaves than its "
+                                "text holds");
     }
     std::vector<TreeNode> nodes(num_nodes);
     for (TreeNode& node : nodes) {

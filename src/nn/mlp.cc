@@ -8,6 +8,7 @@
 #include "common/aligned.h"
 #include "common/binio.h"
 #include "common/file_util.h"
+#include "common/string_util.h"
 #include "nn/validate.h"
 
 namespace dnlr::nn {
@@ -131,11 +132,33 @@ Result<Mlp> Mlp::Deserialize(const std::string& text) {
   if (!(in >> keyword >> input_dim >> num_hidden) || keyword != "mlp") {
     return Status::ParseError("expected 'mlp <input> <layers> ...' header");
   }
+  // The constructor requires a non-empty architecture, and every declared
+  // count is checked against the text left before anything is allocated.
+  if (input_dim == 0 || num_hidden == 0) {
+    return Status::ParseError("implausible mlp architecture header");
+  }
+  if (num_hidden > MaxTokensLeft(in)) {
+    return Status::ParseError("truncated architecture");
+  }
   std::vector<uint32_t> hidden(num_hidden);
   for (uint32_t& h : hidden) {
     if (!(in >> h)) return Status::ParseError("truncated architecture");
+    if (h == 0) return Status::ParseError("implausible mlp layer width");
   }
-  Mlp mlp(predict::Architecture(input_dim, hidden), /*seed=*/0);
+  const predict::Architecture arch(input_dim, std::move(hidden));
+  // Each term is below 2^64 (both factors are u32), and the running sum is
+  // checked against the budget before it could overflow.
+  const uint64_t budget = MaxTokensLeft(in);
+  uint64_t declared = 0;
+  for (const auto& [out_dim, in_dim] : arch.LayerShapes()) {
+    const uint64_t floats = static_cast<uint64_t>(out_dim) * in_dim + out_dim;
+    if (floats > budget - declared) {
+      return Status::ParseError(
+          "mlp declares more weights and biases than its text holds");
+    }
+    declared += floats;
+  }
+  Mlp mlp(arch, /*seed=*/0);
   for (uint32_t l = 0; l < mlp.num_layers(); ++l) {
     uint32_t out_dim = 0;
     uint32_t in_dim = 0;

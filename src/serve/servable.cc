@@ -15,15 +15,6 @@
 namespace dnlr::serve {
 
 Result<std::unique_ptr<Servable>> Servable::FromBundle(
-    const bundle::ModelBundle& bundle, const ServableOptions& options) {
-  // NOLINTNEXTLINE(dnlr-raw-alloc): private ctor blocks make_unique; unique_ptr takes ownership immediately
-  std::unique_ptr<Servable> servable(new Servable());
-  Status status = servable->Build(bundle, options);
-  if (!status.ok()) return status;
-  return servable;
-}
-
-Result<std::unique_ptr<Servable>> Servable::FromMappedBundle(
     const bundle::MappedBundle& bundle, const ServableOptions& options) {
   // NOLINTNEXTLINE(dnlr-raw-alloc): private ctor blocks make_unique; unique_ptr takes ownership immediately
   std::unique_ptr<Servable> servable(new Servable());
@@ -34,26 +25,13 @@ Result<std::unique_ptr<Servable>> Servable::FromMappedBundle(
 
 Result<std::unique_ptr<Servable>> Servable::LoadFromFile(
     const std::string& path, const ServableOptions& options) {
-  // One open serves both formats: the mapping doubles as the read buffer
-  // for text bundles, and binary bundles never get copied to the heap at
-  // all.
-  Result<common::MappedFile> file =
-      common::MappedFile::Open(path, options.prefer_mmap);
-  if (!file.ok()) return file.status();
-  if (bundle::IsBinaryBundle(file->view())) {
-    Result<bundle::MappedBundle> mapped =
-        bundle::MappedBundle::FromFile(std::move(*file));
-    if (!mapped.ok()) return mapped.status();
-    return FromMappedBundle(*mapped, options);
-  }
-  Result<bundle::ModelBundle> bundle =
-      bundle::ModelBundle::Deserialize(std::string(file->view()));
+  Result<bundle::MappedBundle> bundle =
+      bundle::MappedBundle::Map(path, options.prefer_mmap);
   if (!bundle.ok()) return bundle.status();
   return FromBundle(*bundle, options);
 }
 
-template <typename BundleT>
-Status Servable::Build(const BundleT& bundle,
+Status Servable::Build(const bundle::MappedBundle& bundle,
                        const ServableOptions& options) {
   if (options.cascade_rescore_fraction <= 0.0 ||
       options.cascade_rescore_fraction > 1.0) {

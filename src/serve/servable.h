@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "bundle/bundle.h"
 #include "bundle/mapped_bundle.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -39,8 +38,8 @@ struct ServableOptions {
   /// serial on machines where parallelism never wins. 0 keeps the
   /// structural default.
   uint32_t min_parallel_docs = 0;
-  /// LoadFromFile maps binary bundles with mmap when possible; false forces
-  /// the heap-read fallback (test knob, see common::MappedFile::Open).
+  /// LoadFromFile maps the bundle file with mmap when possible; false
+  /// forces the heap-read fallback (test knob, see common::MappedFile::Open).
   bool prefer_mmap = true;
 };
 
@@ -50,7 +49,7 @@ struct ServableOptions {
 /// retains its ensemble, the ladder borrows every FallibleScorer), so
 /// reloading a model from disk means rebuilding this whole object graph with
 /// one owner and publishing it atomically. Servable is that owner: it
-/// deserializes a bundle::ModelBundle, validates every model with the
+/// decodes a bundle::MappedBundle, validates every model with the
 /// dnlr::validate invariant suites (explicitly — release builds skip the
 /// debug-only parse-time validation), builds one rung per bundle RungSpec,
 /// and exposes the resulting DegradationLadder.
@@ -66,23 +65,18 @@ struct ServableOptions {
 /// Immutable after construction; scoring through the ladder is thread-safe.
 class Servable {
  public:
-  /// Builds a Servable from a parsed bundle. Fails (leaving nothing
-  /// half-built) when the bundle lacks a rungs section, a rung kind is
-  /// unknown, a rung's model section is missing, or any model fails
-  /// validation.
+  /// Builds a Servable from an opened bundle of either container format.
+  /// Model arrays decode straight out of the bundle's buffer; it only needs
+  /// to outlive this call, since the Servable owns its model objects. Fails
+  /// (leaving nothing half-built) when the bundle lacks a rungs section, a
+  /// rung kind is unknown, a rung's model section is missing, or any model
+  /// fails validation.
   static Result<std::unique_ptr<Servable>> FromBundle(
-      const bundle::ModelBundle& bundle, const ServableOptions& options = {});
-
-  /// Builds from a memory-mapped binary bundle: model arrays decode
-  /// straight out of the mapping (bounds-checked memcpy, no intermediate
-  /// payload buffer). The mapping only needs to outlive this call — the
-  /// Servable owns its model objects either way.
-  static Result<std::unique_ptr<Servable>> FromMappedBundle(
       const bundle::MappedBundle& bundle, const ServableOptions& options = {});
 
-  /// Sniffs the container format from the file's magic: a v2 binary bundle
-  /// goes through MappedFile + FromMappedBundle (zero-copy), a v1 text
-  /// bundle through ModelBundle::Deserialize + FromBundle.
+  /// bundle::MappedBundle::Map followed by FromBundle. A binary bundle is
+  /// mmapped (zero-copy); a text bundle has every payload CRC checked at
+  /// open.
   static Result<std::unique_ptr<Servable>> LoadFromFile(
       const std::string& path, const ServableOptions& options = {});
 
@@ -106,12 +100,8 @@ class Servable {
 
  private:
   Servable() = default;
-  /// Works for any bundle type exposing the shared getter API
-  /// (HasSection/Teacher/Student/Normalizer/Rungs): bundle::ModelBundle and
-  /// bundle::MappedBundle today. Defined in servable.cc; both
-  /// instantiations live there.
-  template <typename BundleT>
-  Status Build(const BundleT& bundle, const ServableOptions& options);
+  Status Build(const bundle::MappedBundle& bundle,
+               const ServableOptions& options);
 
   bundle::RungConfig rung_config_;
   uint32_t num_features_ = 0;

@@ -123,8 +123,7 @@ std::string BinaryBytes(const bundle::ModelBundle& pack) {
 /// codecs print max_digits10 under the classic locale, so two bundles with
 /// equal fingerprints carry bitwise-identical parameters — this is the
 /// same losslessness proof `dnlr_cli bundle bench` gates on.
-template <typename BundleT>
-std::string Fingerprint(const BundleT& bundle) {
+std::string Fingerprint(const bundle::MappedBundle& bundle) {
   std::string out;
   const auto take = [&out](Result<std::string> text) {
     EXPECT_TRUE(text.ok()) << text.status().ToString();
@@ -145,6 +144,20 @@ std::string Fingerprint(const BundleT& bundle) {
   return out;
 }
 
+/// Fingerprint of what a writer holds, read back from its text container.
+std::string Fingerprint(const bundle::ModelBundle& pack) {
+  auto loaded = bundle::MappedBundle::FromBytes(pack.Serialize());
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  return loaded.ok() ? Fingerprint(*loaded) : std::string();
+}
+
+/// Decodes everything a reader holds and re-packs it through the setters.
+bundle::ModelBundle Repack(const bundle::MappedBundle& loaded) {
+  bundle::ModelBundle pack;
+  EXPECT_TRUE(bundle::RepackSections(loaded, &pack).ok());
+  return pack;
+}
+
 // ---------------------------------------------------------------------------
 // Round trips: text <-> binary conversion loses nothing, and both mapped
 // and heap-read binary loads materialize the exact same parameters.
@@ -160,41 +173,52 @@ TEST_P(BinaryRoundTripTest, ConversionIsLosslessAndDeterministic) {
 
   const std::string binary = BinaryBytes(pack);
   ASSERT_TRUE(bundle::IsBinaryBundle(binary));
-  auto restored = bundle::ModelBundle::DeserializeBinary(binary);
+  auto restored = bundle::MappedBundle::FromBytes(binary);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->format(), bundle::BundleFormat::kBinary);
+  EXPECT_TRUE(restored->VerifyPayloadCrcs().ok());
   EXPECT_EQ(Fingerprint(*restored), expected);
 
   // The binary container is deterministic, and converting back to text
   // reproduces the original text container byte for byte.
-  EXPECT_EQ(BinaryBytes(*restored), binary);
-  auto text = restored->SerializeAs(bundle::BundleFormat::kText);
+  const bundle::ModelBundle repacked = Repack(*restored);
+  EXPECT_EQ(BinaryBytes(repacked), binary);
+  auto text = repacked.SerializeAs(bundle::BundleFormat::kText);
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   EXPECT_EQ(*text, pack.Serialize());
-
-  // Format sniffing: the one Deserialize entry point reads both containers.
-  auto sniffed = bundle::ModelBundle::Deserialize(binary);
-  ASSERT_TRUE(sniffed.ok()) << sniffed.status().ToString();
-  EXPECT_EQ(Fingerprint(*sniffed), expected);
 }
 
 TEST_P(BinaryRoundTripTest, MappedAndHeapLoadsMatchTheSourceBitwise) {
   const auto seed = static_cast<uint64_t>(GetParam());
   const uint32_t num_features = 4 + static_cast<uint32_t>(seed % 5);
   const bundle::ModelBundle pack = MakeFullBundle(seed, num_features);
-  const std::string path = TempPath("roundtrip_" + std::to_string(seed) +
-                                    ".dnlr.bin");
-  ASSERT_TRUE(pack.SaveToFile(path, bundle::BundleFormat::kBinary).ok());
-
-  auto mapped = bundle::MappedBundle::Map(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  auto heap = bundle::MappedBundle::Map(path, /*prefer_mmap=*/false);
-  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
-  EXPECT_FALSE(heap->is_mapped());
-
   const std::string expected = Fingerprint(pack);
-  EXPECT_EQ(Fingerprint(*mapped), expected);
-  EXPECT_EQ(Fingerprint(*heap), expected);
-  EXPECT_TRUE(mapped->VerifyPayloadCrcs().ok());
+  ASSERT_FALSE(expected.empty());
+  // The one reader serves both containers over both buffers.
+  for (const bundle::BundleFormat format :
+       {bundle::BundleFormat::kText, bundle::BundleFormat::kBinary}) {
+    const bool binary = format == bundle::BundleFormat::kBinary;
+    SCOPED_TRACE(binary ? "binary" : "text");
+    const std::string path = TempPath("roundtrip_" + std::to_string(seed) +
+                                      (binary ? ".dnlr.bin" : ".dnlr"));
+    ASSERT_TRUE(pack.SaveToFile(path, format).ok());
+
+    auto mapped = bundle::MappedBundle::Map(path);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    auto heap = bundle::MappedBundle::Map(path, /*prefer_mmap=*/false);
+    ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+#ifndef _WIN32
+    EXPECT_TRUE(mapped->is_mapped());
+#endif
+    EXPECT_FALSE(heap->is_mapped());
+    EXPECT_EQ(mapped->format(), format);
+    EXPECT_EQ(heap->format(), format);
+
+    EXPECT_EQ(Fingerprint(*mapped), expected);
+    EXPECT_EQ(Fingerprint(*heap), expected);
+    EXPECT_TRUE(mapped->VerifyPayloadCrcs().ok());
+    EXPECT_TRUE(heap->VerifyPayloadCrcs().ok());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BinaryRoundTripTest, ::testing::Range(0, 8));
@@ -205,7 +229,7 @@ TEST(BinaryLayoutTest, SectionsAreSimdAlignedAndCanonicallyOrdered) {
   ASSERT_TRUE(layout.ok()) << layout.status().ToString();
   ASSERT_EQ(layout->size(), 4u);
   int previous = -1;
-  for (const bundle::BinarySectionRange& range : *layout) {
+  for (const bundle::SectionRange& range : *layout) {
     EXPECT_EQ(range.offset % kSimdAlignment, 0u) << range.name;
     EXPECT_GE(range.offset, bundle::kBinaryHeaderBytes);
     const int index = bundle::CanonicalSectionIndex(range.name);
@@ -267,20 +291,13 @@ class BinaryCorruptionTest : public ::testing::Test {
            entry * bundle::kBinarySectionEntryBytes + field_offset;
   }
 
-  static Status LayoutError(const std::string& bytes) {
-    auto layout = bundle::ParseBinaryLayout(bytes);
-    EXPECT_FALSE(layout.ok()) << "corrupt binary bundle parsed successfully";
-    return layout.ok() ? Status::Ok() : layout.status();
-  }
-
   static void ExpectError(const std::string& bytes,
                           const std::string& needle) {
-    const Status status = LayoutError(bytes);
-    EXPECT_EQ(status.code(), StatusCode::kParseError);
-    EXPECT_NE(status.message().find(needle), std::string::npos)
-        << status.ToString();
-    // The full deserializer runs the same structural pass first.
-    EXPECT_FALSE(bundle::ModelBundle::Deserialize(bytes).ok());
+    auto loaded = bundle::MappedBundle::FromBytes(bytes);
+    ASSERT_FALSE(loaded.ok()) << "corrupt binary bundle parsed successfully";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(loaded.status().message().find(needle), std::string::npos)
+        << loaded.status().ToString();
   }
 
   std::string bytes_;
@@ -288,7 +305,7 @@ class BinaryCorruptionTest : public ::testing::Test {
 
 TEST_F(BinaryCorruptionTest, IntactBytesParse) {
   EXPECT_TRUE(bundle::ParseBinaryLayout(bytes_).ok());
-  EXPECT_TRUE(bundle::ModelBundle::DeserializeBinary(bytes_).ok());
+  EXPECT_TRUE(bundle::MappedBundle::FromBytes(bytes_).ok());
 }
 
 TEST_F(BinaryCorruptionTest, BadMagic) {
@@ -424,29 +441,23 @@ TEST_F(BinaryCorruptionTest, FlippedPayloadByteDefersToDeepValidation) {
   std::string corrupt = bytes_;
   // Flip a byte squarely inside section 0's payload (not in alignment
   // padding, which no CRC covers).
-  const bundle::BinarySectionRange& teacher = layout->front();
+  const bundle::SectionRange& teacher = layout->front();
   ASSERT_GT(teacher.size, 2u);
   corrupt[teacher.offset + teacher.size / 2] ^= 0x20;
 
   // The cheap structural pass — what every map and hot swap pays — does not
-  // scan payloads, so it still accepts the bytes...
+  // scan payloads, so opening still accepts the bytes...
   EXPECT_TRUE(bundle::ParseBinaryLayout(corrupt).ok());
+  auto loaded = bundle::MappedBundle::FromBytes(corrupt);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
-  // ...while the deep passes (full deserialize, and the deferred CRC sweep
-  // `dnlr_cli bundle verify` runs) both catch the flip.
-  auto deep = bundle::ModelBundle::DeserializeBinary(corrupt);
-  ASSERT_FALSE(deep.ok());
-  EXPECT_EQ(deep.status().code(), StatusCode::kParseError);
-  EXPECT_NE(deep.status().message().find("crc mismatch in section"),
-            std::string::npos);
-
-  const std::string path = TempPath("flipped_payload.dnlr.bin");
-  ASSERT_TRUE(AtomicWriteFile(path, corrupt).ok());
-  auto mapped = bundle::MappedBundle::Map(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  const Status crcs = mapped->VerifyPayloadCrcs();
-  EXPECT_FALSE(crcs.ok());
-  EXPECT_NE(crcs.message().find("teacher"), std::string::npos)
+  // ...while the deferred CRC sweep `dnlr_cli bundle verify` runs catches
+  // the flip and names the section.
+  const Status crcs = loaded->VerifyPayloadCrcs();
+  ASSERT_FALSE(crcs.ok());
+  EXPECT_EQ(crcs.code(), StatusCode::kParseError);
+  EXPECT_NE(crcs.message().find("crc mismatch in section 'teacher'"),
+            std::string::npos)
       << crcs.ToString();
 }
 
@@ -510,15 +521,6 @@ TEST(MappedFileTest, MoveKeepsTheViewValid) {
 // ---------------------------------------------------------------------------
 // MappedBundle odds and ends
 
-TEST(MappedBundleTest, RejectsTextBundles) {
-  const std::string path = TempPath("text_for_map.dnlr");
-  ASSERT_TRUE(MakeFullBundle(2, 5).SaveToFile(path).ok());
-  auto mapped = bundle::MappedBundle::Map(path);
-  ASSERT_FALSE(mapped.ok());
-  EXPECT_EQ(mapped.status().code(), StatusCode::kParseError);
-  EXPECT_NE(mapped.status().message().find("bad magic"), std::string::npos);
-}
-
 TEST(MappedBundleTest, AbsentSectionsReportNotFound) {
   bundle::ModelBundle pack;
   Rng rng(17);
@@ -575,6 +577,20 @@ TEST(ServableParityTest, BinaryLoadScoresBitwiseIdenticallyToText) {
                     .ok())
         << "prefer_mmap=" << prefer_mmap;
   }
+}
+
+TEST(ServableParityTest, FlippedTextPayloadByteFailsCrcAtLoad) {
+  // Text bundles are checked eagerly: serving never sees a flipped byte.
+  std::string bytes = MakeFullBundle(4, 6).Serialize();
+  const size_t payload = bytes.find("\npayload\n") + 9;
+  bytes[payload + (bytes.size() - payload) / 2] ^= 0x20;
+  const std::string path = TempPath("flipped_payload.dnlr");
+  ASSERT_TRUE(AtomicWriteFile(path, bytes).ok());
+  auto loaded = serve::Servable::LoadFromFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(loaded.status().message().find("crc mismatch"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 // ---------------------------------------------------------------------------

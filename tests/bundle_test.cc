@@ -15,10 +15,12 @@
 #include <limits>
 #include <locale>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bundle/bundle.h"
 #include "bundle/crc32.h"
+#include "bundle/mapped_bundle.h"
 #include "common/file_util.h"
 #include "common/rng.h"
 #include "data/normalize.h"
@@ -129,6 +131,14 @@ std::string TempPath(const std::string& name) {
   return (std::filesystem::path(::testing::TempDir()) / name).string();
 }
 
+/// Re-packs everything a reader decoded through the typed setters, so the
+/// writer's canonical bytes can be compared with what went in.
+bundle::ModelBundle Repack(const bundle::MappedBundle& loaded) {
+  bundle::ModelBundle pack;
+  EXPECT_TRUE(bundle::RepackSections(loaded, &pack).ok());
+  return pack;
+}
+
 // ---------------------------------------------------------------------------
 // CRC32
 
@@ -160,16 +170,18 @@ TEST_P(BundleRoundTripTest, SerializeDeserializeIsBitwiseExact) {
   const bundle::ModelBundle pack = MakeFullBundle(seed, num_features);
   const std::string bytes = pack.Serialize();
 
-  auto restored = bundle::ModelBundle::Deserialize(bytes);
+  auto restored = bundle::MappedBundle::FromBytes(bytes);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ASSERT_EQ(restored->sections().size(), pack.sections().size());
+  EXPECT_EQ(restored->format(), bundle::BundleFormat::kText);
+  ASSERT_EQ(restored->layout().size(), pack.sections().size());
   for (size_t s = 0; s < pack.sections().size(); ++s) {
-    EXPECT_EQ(restored->sections()[s].name, pack.sections()[s].name);
+    const bundle::Section& section = pack.sections()[s];
+    EXPECT_EQ(restored->layout()[s].name, section.name);
     // Bitwise: the payload bytes survive the container unchanged.
-    EXPECT_EQ(restored->sections()[s].payload, pack.sections()[s].payload);
+    EXPECT_EQ(restored->FindSectionView(section.name), section.payload);
   }
-  // And the container itself is deterministic.
-  EXPECT_EQ(restored->Serialize(), bytes);
+  // And decode + re-pack reproduces the container byte for byte.
+  EXPECT_EQ(Repack(*restored).Serialize(), bytes);
 }
 
 TEST_P(BundleRoundTripTest, ModelsScoreBitwiseIdenticallyAfterRoundTrip) {
@@ -183,7 +195,7 @@ TEST_P(BundleRoundTripTest, ModelsScoreBitwiseIdenticallyAfterRoundTrip) {
   bundle::ModelBundle pack;
   ASSERT_TRUE(pack.SetTeacher(teacher).ok());
   ASSERT_TRUE(pack.SetStudent(student).ok());
-  auto restored = bundle::ModelBundle::Deserialize(pack.Serialize());
+  auto restored = bundle::MappedBundle::FromBytes(pack.Serialize());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   auto teacher2 = restored->Teacher();
   auto student2 = restored->Student();
@@ -244,9 +256,9 @@ TEST_P(BundleRoundTripTest, RoundTripSurvivesCommaDecimalGlobalLocale) {
 
   // The whole bundle round-trips under the hostile locale too.
   const bundle::ModelBundle pack = MakeFullBundle(seed, num_features);
-  auto restored = bundle::ModelBundle::Deserialize(pack.Serialize());
+  auto restored = bundle::MappedBundle::FromBytes(pack.Serialize());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->Serialize(), pack.Serialize());
+  EXPECT_EQ(Repack(*restored).Serialize(), pack.Serialize());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BundleRoundTripTest, ::testing::Range(0, 8));
@@ -285,7 +297,7 @@ class BundleCorruptionTest : public ::testing::Test {
   }
 
   static Status DeserializeError(const std::string& bytes) {
-    auto result = bundle::ModelBundle::Deserialize(bytes);
+    auto result = bundle::MappedBundle::FromBytes(bytes);
     EXPECT_FALSE(result.ok()) << "corrupt bundle parsed successfully";
     return result.status();
   }
@@ -294,7 +306,7 @@ class BundleCorruptionTest : public ::testing::Test {
 };
 
 TEST_F(BundleCorruptionTest, IntactBytesParse) {
-  EXPECT_TRUE(bundle::ModelBundle::Deserialize(bytes_).ok());
+  EXPECT_TRUE(bundle::MappedBundle::FromBytes(bytes_).ok());
 }
 
 TEST_F(BundleCorruptionTest, BadMagic) {
@@ -445,12 +457,72 @@ TEST_F(BundleCorruptionTest, NonCanonicalCrcFieldsAreMalformed) {
   // The canonical spelling (and its uppercase twin) still parses.
   const std::string good = "dnlrbundle 1 1\nsection teacher 1 " +
                            std::string(canonical) + "\npayload\n" + payload;
-  EXPECT_TRUE(bundle::ModelBundle::Deserialize(good).ok());
+  EXPECT_TRUE(bundle::MappedBundle::FromBytes(good).ok());
   std::string upper = canonical;
   for (char& c : upper) c = static_cast<char>(std::toupper(c));
   const std::string good_upper = "dnlrbundle 1 1\nsection teacher 1 " +
                                  upper + "\npayload\n" + payload;
-  EXPECT_TRUE(bundle::ModelBundle::Deserialize(good_upper).ok());
+  EXPECT_TRUE(bundle::MappedBundle::FromBytes(good_upper).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Declared counts in the text parsers: a few forged bytes must fail to parse,
+// not abort the process allocating what the count asks for.
+
+void ExpectParseError(const Status& status, const std::string& needle) {
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+  EXPECT_NE(status.message().find(needle), std::string::npos)
+      << status.ToString();
+}
+
+TEST(TextCountBoundsTest, ContainerHeaderSectionCount) {
+  for (const char* header :
+       {"dnlrbundle 1 4000000000000\npayload\n", "dnlrbundle 1 5\n"}) {
+    auto result = bundle::MappedBundle::FromBytes(header);
+    ASSERT_FALSE(result.ok()) << header;
+    ExpectParseError(result.status(), "implausible bundle section count");
+  }
+}
+
+TEST(TextCountBoundsTest, RungCount) {
+  auto result = bundle::RungConfig::Deserialize("rungs 4000000000000\n");
+  ASSERT_FALSE(result.ok());
+  ExpectParseError(result.status(), "more than its text holds");
+}
+
+TEST(TextCountBoundsTest, NormalizerFeatureCount) {
+  auto result = bundle::DeserializeNormalizer("znorm 4000000000000\n1 2\n");
+  ASSERT_FALSE(result.ok());
+  ExpectParseError(result.status(), "more than its text holds");
+}
+
+TEST(TextCountBoundsTest, MlpWeightCount) {
+  // A weight matrix of 4e10 floats, an architecture list of 4e12 widths,
+  // u32-max widths whose product needs all 64 bits, and the empty shapes
+  // the Mlp constructor refuses.
+  const std::pair<const char*, const char*> cases[] = {
+      {"mlp 200000 1 200000\n", "more weights and biases than its text"},
+      {"mlp 4 4000000000000\n", "truncated architecture"},
+      {"mlp 4294967295 2 4294967295 4294967295\n",
+       "more weights and biases than its text"},
+      {"mlp 0 1 4\n", "implausible mlp architecture header"},
+      {"mlp 4 0\n", "implausible mlp architecture header"},
+      {"mlp 4 1 0\n", "implausible mlp layer width"}};
+  for (const auto& [text, needle] : cases) {
+    auto result = nn::Mlp::Deserialize(text);
+    ASSERT_FALSE(result.ok()) << text;
+    ExpectParseError(result.status(), needle);
+  }
+}
+
+TEST(TextCountBoundsTest, EnsembleTreeSize) {
+  for (const char* text : {"ensemble 1 0\ntree 4000000000000 1\n",
+                           "ensemble 1 0\ntree 0 4000000000000\n",
+                           "ensemble 1 0\ntree 2 3\nnode 0 0 -1 -2\n"}) {
+    auto result = gbdt::Ensemble::Deserialize(text);
+    ASSERT_FALSE(result.ok()) << text;
+    ExpectParseError(result.status(), "declares more nodes and leaves");
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -479,7 +551,7 @@ TEST(AtomicWriteTest, CrashAtAnyPointNeverTearsThePublishedFile) {
     EXPECT_EQ(*bytes, good_bytes)
         << "crash point " << static_cast<int>(crash)
         << " tore the published file";
-    EXPECT_TRUE(bundle::ModelBundle::LoadFromFile(path).ok());
+    EXPECT_TRUE(bundle::MappedBundle::Map(path).ok());
   }
 
   // Without a crash the same write goes through and fully replaces it.
@@ -510,7 +582,7 @@ TEST(AtomicWriteTest, CrashAfterRenamePublishesButReportsFailure) {
   auto bytes = ReadFileToString(path);
   ASSERT_TRUE(bytes.ok());
   EXPECT_EQ(*bytes, replacement.Serialize());
-  EXPECT_TRUE(bundle::ModelBundle::LoadFromFile(path).ok());
+  EXPECT_TRUE(bundle::MappedBundle::Map(path).ok());
 }
 
 TEST(AtomicWriteTest, CrashOnFirstWriteLeavesNoFile) {
@@ -534,9 +606,9 @@ TEST(BundleFileTest, SaveLoadRoundTrip) {
   const std::string path = TempPath("roundtrip.bundle");
   const bundle::ModelBundle pack = MakeFullBundle(21, 7);
   ASSERT_TRUE(pack.SaveToFile(path).ok());
-  auto loaded = bundle::ModelBundle::LoadFromFile(path);
+  auto loaded = bundle::MappedBundle::Map(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->Serialize(), pack.Serialize());
+  EXPECT_EQ(Repack(*loaded).Serialize(), pack.Serialize());
   EXPECT_TRUE(loaded->Teacher().ok());
   EXPECT_TRUE(loaded->Student().ok());
   EXPECT_TRUE(loaded->Normalizer().ok());
@@ -547,8 +619,7 @@ TEST(BundleFileTest, SaveLoadRoundTrip) {
 TEST(BundleFileTest, MissingSectionsReportNotFound) {
   bundle::ModelBundle empty_teacher;
   ASSERT_TRUE(empty_teacher.SetRungs(TestRungs()).ok());
-  auto restored =
-      bundle::ModelBundle::Deserialize(empty_teacher.Serialize());
+  auto restored = bundle::MappedBundle::FromBytes(empty_teacher.Serialize());
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->Teacher().status().code(), StatusCode::kNotFound);
   EXPECT_EQ(restored->Student().status().code(), StatusCode::kNotFound);

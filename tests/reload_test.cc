@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bundle/bundle.h"
+#include "bundle/mapped_bundle.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "data/normalize.h"
@@ -344,8 +345,10 @@ TEST(ReloadTest, SameBundleSwapIsBitwiseScoreIdentical) {
 
   // Two independent loads of the same bundle, as a restarting loader would
   // produce: nothing is shared between the generations but the bytes.
-  auto first = serve::Servable::FromBundle(pack);
-  auto second = serve::Servable::FromBundle(pack);
+  auto loaded = bundle::MappedBundle::FromBytes(pack.Serialize());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto first = serve::Servable::FromBundle(*loaded);
+  auto second = serve::Servable::FromBundle(*loaded);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   std::shared_ptr<const serve::Servable> servable1 = std::move(*first);
@@ -392,7 +395,10 @@ TEST(ReloadTest, SameBundleSwapIsBitwiseScoreIdentical) {
   }
 
   // And a candidate whose scores differ is caught by the same gate.
-  auto different = serve::Servable::FromBundle(MakeServableBundle(78, kFeatures));
+  auto different_bytes = bundle::MappedBundle::FromBytes(
+      MakeServableBundle(78, kFeatures).Serialize());
+  ASSERT_TRUE(different_bytes.ok()) << different_bytes.status().ToString();
+  auto different = serve::Servable::FromBundle(*different_bytes);
   ASSERT_TRUE(different.ok()) << different.status().ToString();
   const Status rejected = engine.SwapModel(
       serve::Servable::LadderHandle(

@@ -226,10 +226,7 @@ int CmdGen(const Args& args) {
   args.RejectUnread();
   const data::Dataset dataset = data::GenerateSynthetic(config);
   const Status status = data::WriteLetorFile(dataset, out);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
+  if (!status.ok()) return Fail(status);
   std::printf("wrote %u docs / %u queries / %u features to %s\n",
               dataset.num_docs(), dataset.num_queries(),
               dataset.num_features(), out.c_str());
@@ -282,10 +279,7 @@ int CmdTrainForest(const Args& args) {
   }
 
   const Status status = model.SaveToFile(out);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
+  if (!status.ok()) return Fail(status);
   std::printf("saved %u trees (max %u leaves) to %s\n", model.num_trees(),
               model.MaxLeaves(), out.c_str());
   return 0;
@@ -307,15 +301,9 @@ int CmdDistill(const Args& args) {
   args.RejectUnread();
   const data::Dataset train = LoadLetorOrDie(train_path);
   auto teacher = gbdt::Ensemble::LoadFromFile(teacher_path);
-  if (!teacher.ok()) {
-    std::fprintf(stderr, "%s\n", teacher.status().ToString().c_str());
-    return 1;
-  }
+  if (!teacher.ok()) return Fail(teacher.status());
   auto arch = predict::Architecture::Parse(arch_spec, train.num_features());
-  if (!arch.ok()) {
-    std::fprintf(stderr, "%s\n", arch.status().ToString().c_str());
-    return 1;
-  }
+  if (!arch.ok()) return Fail(arch.status());
   config.prune.train = config.distill;
   config.prune.train.gamma_epochs.clear();
   core::Pipeline pipeline(config);
@@ -326,10 +314,7 @@ int CmdDistill(const Args& args) {
           : pipeline.DistillDense(*arch, train, *teacher);
 
   const Status status = model.mlp.SaveToFile(out);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
+  if (!status.ok()) return Fail(status);
   std::printf("saved %s student to %s (first layer %.1f%% sparse)\n",
               arch->ToString().c_str(), out.c_str(),
               100.0 * model.first_layer_sparsity);
@@ -470,10 +455,7 @@ int CmdPredictTime(const Args& args) {
   const double sparsity = args.GetDouble("sparsity", 0.95);
   args.RejectUnread();
   auto arch = predict::Architecture::Parse(arch_spec, features);
-  if (!arch.ok()) {
-    std::fprintf(stderr, "%s\n", arch.status().ToString().c_str());
-    return 1;
-  }
+  if (!arch.ok()) return Fail(arch.status());
 
   std::fprintf(stderr, "calibrating predictors (seconds)...\n");
   predict::DenseCalibrationConfig dense_config;
@@ -1477,10 +1459,7 @@ int CmdBenchScaling(const Args& args) {
 
   for (const Preset& preset : presets) {
     auto arch = predict::Architecture::Parse(preset.arch, features);
-    if (!arch.ok()) {
-      std::fprintf(stderr, "%s\n", arch.status().ToString().c_str());
-      return 1;
-    }
+    if (!arch.ok()) return Fail(arch.status());
 
     // Synthetic corpus: throughput, not ranking quality, is what this bench
     // measures, so the neural rungs keep their random initial weights.
@@ -1857,10 +1836,7 @@ int CmdValidate(const Args& args) {
     }
     if (first_word == "ensemble") {
       auto model = gbdt::Ensemble::LoadFromFile(path);
-      if (!model.ok()) {
-        std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
-        return 1;
-      }
+      if (!model.ok()) return Fail(model.status());
       validate::Report report;
       gbdt::ValidateEnsemble(*model, features,
                              validate::Checker(&report, "ensemble"));
@@ -1874,10 +1850,7 @@ int CmdValidate(const Args& args) {
                   qs_report.ok() ? "yes" : qs_report.ToString().c_str());
     } else if (first_word == "mlp") {
       auto model = nn::Mlp::LoadFromFile(path);
-      if (!model.ok()) {
-        std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
-        return 1;
-      }
+      if (!model.ok()) return Fail(model.status());
       validate::Report report;
       nn::ValidateMlp(*model, validate::Checker(&report, "mlp"));
       ok = PrintReport("mlp", report) && ok;
@@ -1890,10 +1863,7 @@ int CmdValidate(const Args& args) {
 
   if (args.Has("data")) {
     auto dataset = data::ReadLetorFile(args.Get("data", ""));
-    if (!dataset.ok()) {
-      std::fprintf(stderr, "%s\n", dataset.status().ToString().c_str());
-      return 1;
-    }
+    if (!dataset.ok()) return Fail(dataset.status());
     validate::Report report;
     data::ValidateDataset(*dataset, validate::Checker(&report, "dataset"),
                           max_label);
@@ -1951,53 +1921,33 @@ int CmdBundlePack(const Args& args) {
   bundle::ModelBundle pack;
 
   if (!in.empty()) {
-    auto loaded = bundle::ModelBundle::LoadFromFile(in);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    pack = std::move(loaded).value();
+    auto loaded = bundle::MappedBundle::Map(in);
+    if (!loaded.ok()) return Fail(loaded.status());
+    const Status status = bundle::RepackSections(*loaded, &pack);
+    if (!status.ok()) return Fail(status);
   }
   if (!teacher_path.empty()) {
     auto teacher = gbdt::Ensemble::LoadFromFile(teacher_path);
-    if (!teacher.ok()) {
-      std::fprintf(stderr, "%s\n", teacher.status().ToString().c_str());
-      return 1;
-    }
+    if (!teacher.ok()) return Fail(teacher.status());
     const Status status = pack.SetTeacher(*teacher);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
+    if (!status.ok()) return Fail(status);
   }
   if (!student_path.empty()) {
     auto student = nn::Mlp::LoadFromFile(student_path);
-    if (!student.ok()) {
-      std::fprintf(stderr, "%s\n", student.status().ToString().c_str());
-      return 1;
-    }
+    if (!student.ok()) return Fail(student.status());
     const Status status = pack.SetStudent(*student);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
+    if (!status.ok()) return Fail(status);
   }
   if (!norm_data.empty()) {
     const data::Dataset dataset = LoadLetorOrDie(norm_data);
     data::ZNormalizer normalizer;
     normalizer.Fit(dataset);
     const Status status = pack.SetNormalizer(normalizer);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
+    if (!status.ok()) return Fail(status);
   }
   if (!rung_spec.empty()) {
     const Status status = pack.SetRungs(ParseRungSpec(rung_spec));
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
+    if (!status.ok()) return Fail(status);
   }
   if (pack.sections().empty()) {
     std::fprintf(stderr,
@@ -2007,15 +1957,9 @@ int CmdBundlePack(const Args& args) {
   }
 
   if (!EnsureParentDir(out)) return 1;
-  // SaveToFile(path, format) pairs the payload codecs with the container
-  // (text payloads in a text container, binary in binary), converting
-  // whatever --in provided.
   const Status status = pack.SaveToFile(
       out, binary ? bundle::BundleFormat::kBinary : bundle::BundleFormat::kText);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
+  if (!status.ok()) return Fail(status);
   std::printf("packed %zu section(s) into %s (%s)\n", pack.sections().size(),
               out.c_str(), binary ? "binary" : "text");
   for (const bundle::Section& section : pack.sections()) {
@@ -2027,126 +1971,96 @@ int CmdBundlePack(const Args& args) {
 
 /// bundle unpack: verifies a bundle and writes each section back out as the
 /// standalone per-model text file it was packed from (crash-safely, so an
-/// interrupted unpack never leaves torn model files either).
+/// interrupted unpack never leaves torn model files either). Sections of a
+/// binary bundle are decoded and re-set as text, which is bitwise
+/// score-lossless.
 int CmdBundleUnpack(const Args& args) {
   const std::string in = args.Require("in");
   const std::string dir = args.Get("out-dir", ".");
   args.RejectUnread();
-  auto loaded = bundle::ModelBundle::LoadFromFile(in);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-    return 1;
-  }
-  if (loaded->sections().empty()) {
+  auto loaded = bundle::MappedBundle::Map(in);
+  if (!loaded.ok()) return Fail(loaded.status());
+  if (loaded->layout().empty()) {
     std::fprintf(stderr, "%s: bundle has no sections\n", in.c_str());
     return 1;
   }
-  // Normalize to the text codecs first so a binary bundle unpacks to the
-  // same standalone .txt model files a text bundle does (the conversion is
-  // bitwise score-lossless).
-  auto text_bytes = loaded->SerializeAs(bundle::BundleFormat::kText);
-  if (!text_bytes.ok()) {
-    std::fprintf(stderr, "%s\n", text_bytes.status().ToString().c_str());
-    return 1;
-  }
-  loaded = bundle::ModelBundle::Deserialize(*text_bytes);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-    return 1;
-  }
-  for (const bundle::Section& section : loaded->sections()) {
+  bundle::ModelBundle text;
+  const Status repacked = bundle::RepackSections(*loaded, &text);
+  if (!repacked.ok()) return Fail(repacked);
+  for (const bundle::Section& section : text.sections()) {
     const std::string path =
         (std::filesystem::path(dir) / (section.name + ".txt")).string();
     if (!EnsureParentDir(path)) return 1;
     const Status status = AtomicWriteFile(path, section.payload);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
+    if (!status.ok()) return Fail(status);
     std::printf("wrote %s (%zu bytes)\n", path.c_str(),
                 section.payload.size());
   }
   return 0;
 }
 
-/// bundle verify: structural check (magic, version, section order, lengths,
-/// CRC32s) plus a full parse and deep validation of every section it can
-/// type — the CI gate proving a packed artifact is servable. Handles both
-/// container formats; for a binary bundle it additionally exercises the
-/// mmap path (MappedBundle layout validation + the deferred payload-CRC
-/// pass serving skips).
+/// Decodes and deep-validates one section of an opened bundle: "ok", or
+/// what is wrong with it.
+std::string VerifySection(const bundle::MappedBundle& loaded,
+                          const std::string& name, uint32_t features) {
+  if (name == bundle::kTeacherSection) {
+    auto teacher = loaded.Teacher();
+    if (!teacher.ok()) return teacher.status().ToString();
+    validate::Report report;
+    gbdt::ValidateEnsemble(*teacher, features,
+                           validate::Checker(&report, "teacher"));
+    return report.ok() ? "ok" : report.ToString();
+  }
+  if (name == bundle::kStudentSection) {
+    auto student = loaded.Student();
+    if (!student.ok()) return student.status().ToString();
+    validate::Report report;
+    nn::ValidateMlp(*student, validate::Checker(&report, "student"));
+    return report.ok() ? "ok" : report.ToString();
+  }
+  if (name == bundle::kNormalizerSection) {
+    auto normalizer = loaded.Normalizer();
+    return normalizer.ok() ? "ok" : normalizer.status().ToString();
+  }
+  auto rungs = loaded.Rungs();  // the layout parsers admit no other name
+  return rungs.ok() ? "ok" : rungs.status().ToString();
+}
+
+/// bundle verify: one pass over either container format. Opening checks
+/// the structure (magic, version, section order, lengths; header and table
+/// CRCs of a binary bundle), VerifyPayloadCrcs checks every payload, and
+/// then each section is decoded and run through its invariant suite: the
+/// CI gate proving a packed artifact is servable.
 int CmdBundleVerify(const Args& args) {
   const std::string in = args.Require("in");
   const auto features = static_cast<uint32_t>(args.GetInt("features", 0));
   args.RejectUnread();
-  auto raw = ReadFileToString(in);
-  if (!raw.ok()) {
-    std::fprintf(stderr, "%s: %s\n", in.c_str(),
-                 raw.status().ToString().c_str());
-    return 1;
-  }
-  const bool binary = bundle::IsBinaryBundle(*raw);
-  if (binary) {
-    auto mapped = bundle::MappedBundle::Map(in);
-    if (!mapped.ok()) {
-      std::fprintf(stderr, "%s: mmap path: %s\n", in.c_str(),
-                   mapped.status().ToString().c_str());
-      return 1;
-    }
-    const Status crcs = mapped->VerifyPayloadCrcs();
-    if (!crcs.ok()) {
-      std::fprintf(stderr, "%s: mmap path: %s\n", in.c_str(),
-                   crcs.ToString().c_str());
-      return 1;
-    }
-    std::printf("mmap: %s, %zu bytes, payload crcs ok\n",
-                mapped->is_mapped() ? "mapped" : "read fallback",
-                mapped->file_bytes());
-  }
-  auto loaded = bundle::ModelBundle::Deserialize(*raw);
+  auto loaded = bundle::MappedBundle::Map(in);
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s: %s\n", in.c_str(),
                  loaded.status().ToString().c_str());
     return 1;
   }
+  const Status crcs = loaded->VerifyPayloadCrcs();
+  if (!crcs.ok()) {
+    std::fprintf(stderr, "%s: %s\n", in.c_str(), crcs.ToString().c_str());
+    return 1;
+  }
+  const bool binary = loaded->format() == bundle::BundleFormat::kBinary;
+  std::printf("%s: %s, %zu bytes, payload crcs ok\n",
+              binary ? "binary" : "text",
+              loaded->is_mapped() ? "mapped" : "read fallback",
+              loaded->file_bytes());
   bool ok = true;
-  for (const bundle::Section& section : loaded->sections()) {
-    std::string verdict = "ok";
-    if (section.name == bundle::kTeacherSection) {
-      auto teacher = loaded->Teacher();
-      if (teacher.ok()) {
-        validate::Report report;
-        gbdt::ValidateEnsemble(*teacher, features,
-                               validate::Checker(&report, "teacher"));
-        if (!report.ok()) verdict = report.ToString();
-      } else {
-        verdict = teacher.status().ToString();
-      }
-    } else if (section.name == bundle::kStudentSection) {
-      auto student = loaded->Student();
-      if (student.ok()) {
-        validate::Report report;
-        nn::ValidateMlp(*student, validate::Checker(&report, "student"));
-        if (!report.ok()) verdict = report.ToString();
-      } else {
-        verdict = student.status().ToString();
-      }
-    } else if (section.name == bundle::kNormalizerSection) {
-      auto normalizer = loaded->Normalizer();
-      if (!normalizer.ok()) verdict = normalizer.status().ToString();
-    } else if (section.name == bundle::kRungsSection) {
-      auto rungs = loaded->Rungs();
-      if (!rungs.ok()) verdict = rungs.status().ToString();
-    } else {
-      verdict = "unknown section";
-    }
-    std::printf("%-10s %8zu bytes  %s\n", section.name.c_str(),
-                section.payload.size(), verdict.c_str());
+  for (const bundle::SectionRange& range : loaded->layout()) {
+    const std::string verdict = VerifySection(*loaded, range.name, features);
+    std::printf("%-10s %8ju bytes  %s\n", range.name.c_str(),
+                static_cast<uintmax_t>(range.size), verdict.c_str());
     if (verdict != "ok") ok = false;
   }
   std::printf("%s: %s (%s, %zu section(s))\n", in.c_str(),
               ok ? "bundle ok" : "bundle INVALID", binary ? "binary" : "text",
-              loaded->sections().size());
+              loaded->layout().size());
   return ok ? 0 : 1;
 }
 
@@ -2185,8 +2099,9 @@ gbdt::RegressionTree BenchRandomTree(Rng& rng, uint32_t leaves,
 
 /// bundle bench: packs one randomly initialized model family as both a v1
 /// text bundle and a v2 binary bundle, measures cold bundle-load +
-/// model-materialization time for each (text: read + parse; binary: mmap +
-/// bounds-checked memcpy decode; best of --iters), and proves the two
+/// model-materialization time for each through the one reader (text: map +
+/// payload CRCs + parse; binary: map + bounds-checked memcpy decode; best
+/// of --iters), and proves the two
 /// loads materialize bitwise-identical models by comparing their canonical
 /// text serializations. --min-speedup gates the binary/text load-time
 /// ratio — the CI evidence for the binary format's load-time claim.
@@ -2208,10 +2123,7 @@ int CmdBundleBench(const Args& args) {
     teacher.AddTree(BenchRandomTree(rng, tree_leaves, features));
   }
   auto arch = predict::Architecture::Parse(arch_spec, features);
-  if (!arch.ok()) {
-    std::fprintf(stderr, "%s\n", arch.status().ToString().c_str());
-    return 1;
-  }
+  if (!arch.ok()) return Fail(arch.status());
   const nn::Mlp student(*arch, seed + 1);
   std::vector<float> mean(features);
   std::vector<float> stddev(features);
@@ -2241,16 +2153,11 @@ int CmdBundleBench(const Args& args) {
   if (status.ok()) {
     status = pack.SaveToFile(binary_path, bundle::BundleFormat::kBinary);
   }
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
+  if (!status.ok()) return Fail(status);
 
-  // Canonical text serializations of every model materialized on the first
-  // iteration of each path; equal strings = bitwise-equal parameters (the
+  // Canonical text serialization of every model materialized on the first
+  // iteration of each leg; equal strings = bitwise-equal parameters (the
   // text codecs print max_digits10).
-  std::string text_fingerprint;
-  std::string binary_fingerprint;
   const auto fingerprint =
       [](const gbdt::Ensemble& t, const nn::Mlp& s,
          const data::ZNormalizer& n,
@@ -2266,83 +2173,62 @@ int CmdBundleBench(const Args& args) {
     return *ts + *ss + *ns + *rs;
   };
 
-  double text_us = std::numeric_limits<double>::infinity();
-  double binary_us = std::numeric_limits<double>::infinity();
+  struct Leg {
+    const char* label;
+    std::string path;
+    double best_us;
+    bool mapped;
+    std::string fingerprint;
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Leg legs[] = {{"text", text_path, kInf, false, ""},
+                {"binary", binary_path, kInf, false, ""}};
   using Clock = std::chrono::steady_clock;
+  // The legs alternate within each iteration, so both are timed against
+  // the same allocator history rather than the second leg inheriting
+  // whatever heap state the first leg's loads left behind.
   for (int i = 0; i < iters; ++i) {
-    const auto start = Clock::now();
-    auto loaded = bundle::ModelBundle::LoadFromFile(text_path);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    auto lt = loaded->Teacher();
-    auto ls = loaded->Student();
-    auto ln = loaded->Normalizer();
-    auto lr = loaded->Rungs();
-    if (!lt.ok() || !ls.ok() || !ln.ok() || !lr.ok()) {
-      std::fprintf(stderr, "text load failed to materialize a model\n");
-      return 1;
-    }
-    const auto elapsed = std::chrono::duration<double, std::micro>(
-                             Clock::now() - start)
-                             .count();
-    text_us = std::min(text_us, elapsed);
-    if (i == 0) {
-      auto fp = fingerprint(*lt, *ls, *ln, *lr);
-      if (!fp.ok()) {
-        std::fprintf(stderr, "%s\n", fp.status().ToString().c_str());
+    for (Leg& leg : legs) {
+      const auto start = Clock::now();
+      auto loaded = bundle::MappedBundle::Map(leg.path);
+      if (!loaded.ok()) return Fail(loaded.status());
+      auto lt = loaded->Teacher();
+      auto ls = loaded->Student();
+      auto ln = loaded->Normalizer();
+      auto lr = loaded->Rungs();
+      if (!lt.ok() || !ls.ok() || !ln.ok() || !lr.ok()) {
+        std::fprintf(stderr, "%s load failed to materialize a model\n",
+                     leg.label);
         return 1;
       }
-      text_fingerprint = std::move(*fp);
-    }
-  }
-  bool mmap_used = false;
-  for (int i = 0; i < iters; ++i) {
-    const auto start = Clock::now();
-    auto mapped = bundle::MappedBundle::Map(binary_path);
-    if (!mapped.ok()) {
-      std::fprintf(stderr, "%s\n", mapped.status().ToString().c_str());
-      return 1;
-    }
-    auto lt = mapped->Teacher();
-    auto ls = mapped->Student();
-    auto ln = mapped->Normalizer();
-    auto lr = mapped->Rungs();
-    if (!lt.ok() || !ls.ok() || !ln.ok() || !lr.ok()) {
-      std::fprintf(stderr, "binary load failed to materialize a model\n");
-      return 1;
-    }
-    const auto elapsed = std::chrono::duration<double, std::micro>(
-                             Clock::now() - start)
-                             .count();
-    binary_us = std::min(binary_us, elapsed);
-    mmap_used = mapped->is_mapped();
-    if (i == 0) {
-      auto fp = fingerprint(*lt, *ls, *ln, *lr);
-      if (!fp.ok()) {
-        std::fprintf(stderr, "%s\n", fp.status().ToString().c_str());
-        return 1;
+      const auto elapsed = std::chrono::duration<double, std::micro>(
+                               Clock::now() - start)
+                               .count();
+      leg.best_us = std::min(leg.best_us, elapsed);
+      leg.mapped = loaded->is_mapped();
+      if (i == 0) {
+        auto fp = fingerprint(*lt, *ls, *ln, *lr);
+        if (!fp.ok()) return Fail(fp.status());
+        leg.fingerprint = std::move(*fp);
       }
-      binary_fingerprint = std::move(*fp);
     }
   }
-
-  if (text_fingerprint != binary_fingerprint) {
+  const Leg& text = legs[0];
+  const Leg& binary = legs[1];
+  if (text.fingerprint != binary.fingerprint) {
     std::fprintf(stderr,
                  "FAIL: binary load materialized different model parameters "
                  "than the text load\n");
     return 1;
   }
 
-  const auto text_size = std::filesystem::file_size(text_path);
-  const auto binary_size = std::filesystem::file_size(binary_path);
-  const double speedup = text_us / binary_us;
-  std::printf("text    %10ju bytes  load %10.1f us  (%s)\n",
-              static_cast<uintmax_t>(text_size), text_us, text_path.c_str());
-  std::printf("binary  %10ju bytes  load %10.1f us  (%s, %s)\n",
-              static_cast<uintmax_t>(binary_size), binary_us,
-              binary_path.c_str(), mmap_used ? "mmap" : "read fallback");
+  for (const Leg& leg : legs) {
+    std::printf("%-7s %10ju bytes  load %10.1f us  (%s, %s)\n", leg.label,
+                static_cast<uintmax_t>(std::filesystem::file_size(leg.path)),
+                leg.best_us, leg.path.c_str(),
+                leg.mapped ? "mmap" : "read fallback");
+  }
+  const double speedup = text.best_us / binary.best_us;
   std::printf("speedup %.1fx, models bitwise identical\n", speedup);
   if (min_speedup > 0.0 && speedup < min_speedup) {
     std::fprintf(stderr, "FAIL: speedup %.1fx below --min-speedup %.1f\n",
