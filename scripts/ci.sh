@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Local CI gate: the release and asan-ubsan presets must build and pass
 # ctest with zero sanitizer reports, the avx2 preset must pass the
-# kernel-isa tests on the AVX2 GEMM kernel, and the tsan preset must pass the
-# `threaded` test subset (the serving engine's worker-pool tests) with zero
-# data-race reports. UBSan findings are fatal at runtime
-# (-fno-sanitize-recover=all) and ASan/LSan/TSan errors fail their process,
-# so any report fails its test; as a belt-and-braces measure the ctest logs
-# are also grepped for report signatures afterwards.
+# kernel-isa tests on the AVX2 GEMM kernel and Hash64 stripe loop, and the
+# tsan preset must pass the `threaded` test subset (the serving engine's
+# worker-pool tests) with zero data-race reports. UBSan findings are fatal
+# at runtime (-fno-sanitize-recover=all) and ASan/LSan/TSan errors fail
+# their process, so any report fails its test; as a belt-and-braces measure
+# the ctest logs are also grepped for report signatures afterwards.
 #
 # Usage: scripts/ci.sh            (from anywhere; jobs via DNLR_JOBS)
 set -euo pipefail
@@ -21,9 +21,11 @@ scripts/tidy.sh
 scripts/check.sh release asan-ubsan
 
 # On an AVX-512 host the native builds above compile only the AVX-512 GEMM
-# micro-kernel. The avx2 preset targets x86-64-v3, so the AVX2+FMA kernel
-# is built and its kernel-isa tests (mm_test, nn_test, parallel_test) run,
-# bit-pinning test included: both kernels must give the same scores.
+# micro-kernel and Hash64 stripe loop. The avx2 preset targets x86-64-v3, so
+# the AVX2 bodies are built and their kernel-isa tests (common_test,
+# mm_test, nn_test, parallel_test) run, bit-pinning tests included: both
+# GEMM kernels must give the same scores, and the AVX2 hash the reference
+# XXH3 values.
 scripts/check.sh avx2
 
 # The tsan preset is gated to the threaded label: TSan only pays off on

@@ -13,18 +13,25 @@
 
 namespace dnlr::nn {
 
-Mlp::Mlp(const predict::Architecture& arch, uint64_t seed) : arch_(arch) {
+Mlp::Mlp(const predict::Architecture& arch, ShapeOnly) : arch_(arch) {
   DNLR_CHECK_GT(arch.input_dim, 0u);
   DNLR_CHECK(!arch.hidden.empty());
-  Rng rng(seed);
   for (const auto& [out, in] : arch.LayerShapes()) {
     LinearLayer layer;
     layer.weight = mm::Matrix(out, in);
-    // He initialization: suited to ReLU-family activations.
-    const float stddev = std::sqrt(2.0f / static_cast<float>(in));
-    layer.weight.FillNormal(rng, 0.0f, stddev);
     layer.bias.assign(out, 0.0f);
     layers_.push_back(std::move(layer));
+  }
+}
+
+Mlp::Mlp(const predict::Architecture& arch, uint64_t seed)
+    : Mlp(arch, ShapeOnly{}) {
+  Rng rng(seed);
+  for (LinearLayer& layer : layers_) {
+    // He initialization: suited to ReLU-family activations.
+    const float stddev =
+        std::sqrt(2.0f / static_cast<float>(layer.in_dim()));
+    layer.weight.FillNormal(rng, 0.0f, stddev);
   }
 }
 
@@ -158,7 +165,7 @@ Result<Mlp> Mlp::Deserialize(const std::string& text) {
     }
     declared += floats;
   }
-  Mlp mlp(arch, /*seed=*/0);
+  Mlp mlp(arch, ShapeOnly{});
   for (uint32_t l = 0; l < mlp.num_layers(); ++l) {
     uint32_t out_dim = 0;
     uint32_t in_dim = 0;
@@ -270,7 +277,7 @@ Result<Mlp> Mlp::DeserializeBinary(std::string_view bytes) {
     return Status::ParseError(
         "binary mlp declares more weights than the payload holds");
   }
-  Mlp mlp(arch, /*seed=*/0);
+  Mlp mlp(arch, ShapeOnly{});
   for (uint32_t l = 0; l < mlp.num_layers(); ++l) {
     LinearLayer& layer = mlp.layer(l);
     if (!reader.AlignTo(kSimdAlignment) ||

@@ -85,6 +85,12 @@ class Mlp {
   static Result<Mlp> LoadFromFile(const std::string& path);
 
  private:
+  /// Shape-only construction for the decoders: every layer allocated at
+  /// its shape with zero weights and biases, which the payload then
+  /// overwrites. Skips the seeded constructor's random draws.
+  struct ShapeOnly {};
+  Mlp(const predict::Architecture& arch, ShapeOnly);
+
   predict::Architecture arch_;
   std::vector<LinearLayer> layers_;
 };

@@ -63,14 +63,16 @@ class ScoreCache {
   ScoreCache(const ScoreCache&) = delete;
   ScoreCache& operator=(const ScoreCache&) = delete;
 
-  /// xxHash64 (`common::Hash64`) of every row's feature bytes, seeded with
+  /// XXH3-64 (`common::Hash64`) of every row's feature bytes, seeded with
   /// (count << 32) | stride so the same bytes in another shape differ.
   /// Identical bytes always collide (that is the point: the same query
   /// resubmitted fingerprints equal); distinct batches collide with
   /// probability ~2^-64 per pair, which the count check in Lookup narrows
-  /// further. Cost is one pass over the batch, 8 bytes per lane step: about
-  /// 7 us per hit for 120 docs x 136 features (65 KB), where the byte-wise
-  /// FNV-1a used before took about 100 us, as long as scoring them afresh.
+  /// further. There is no bitwise compare of the request bytes behind it,
+  /// so every byte is hashed. Cost is one pass over the batch in 64-byte
+  /// stripes, eight multiply lanes wide: a p50 of about 2.5 us per hit for
+  /// sets of 80-160 docs x 136 features on an AVX-512 build (4 us on an
+  /// AVX2 one), where the scalar XXH64 used before took about 7 us.
   static uint64_t Fingerprint(const float* docs, uint32_t count,
                               uint32_t stride);
 
@@ -119,7 +121,7 @@ class ScoreCache {
   };
 
   Shard& ShardFor(uint64_t fingerprint) {
-    // xxHash64 output is avalanched; modulo is an adequate shard hash.
+    // XXH3 output is avalanched; modulo is an adequate shard hash.
     return *shards_[fingerprint % shards_.size()];
   }
 

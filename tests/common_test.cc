@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "common/aligned.h"
@@ -151,38 +150,115 @@ TEST(RngTest, ShufflePreservesElements) {
   EXPECT_EQ(shuffled, items);
 }
 
-uint64_t HashString(std::string_view text, uint64_t seed = 0) {
-  return common::Hash64(text.data(), text.size(), seed);
+/// The xxhsum sanity-check buffer: byte i is the top byte of
+/// 2654435761 * 0x9E3779B185EBCA87^i (mod 2^64).
+std::vector<unsigned char> SanityBuffer(size_t size) {
+  std::vector<unsigned char> buffer(size);
+  uint64_t generator = 2654435761u;
+  for (unsigned char& byte : buffer) {
+    byte = static_cast<unsigned char>(generator >> 56);
+    generator *= 0x9E3779B185EBCA87ull;
+  }
+  return buffer;
 }
 
-TEST(Hash64Test, MatchesPublishedXxHash64Vectors) {
-  // Seed 0. "" is the empty-input path and "abc" the 1-byte tail; the
-  // 39-byte sentence is one 32-byte stripe plus the 4- and 1-byte tails,
-  // the 43-byte one a stripe plus the 8- and 1-byte tails.
-  EXPECT_EQ(HashString(""), 0xEF46DB3751D8E999ull);
-  EXPECT_EQ(HashString("abc"), 0x44BC2CF5AD770999ull);
-  EXPECT_EQ(HashString("Nobody inspects the spammish repetition"),
-            0xFBCEA83C8A378BF1ull);
-  EXPECT_EQ(HashString("The quick brown fox jumps over the lazy dog"),
-            0x0B242D361FDA71BCull);
-  EXPECT_EQ(common::Hash64(nullptr, 0, 0), 0xEF46DB3751D8E999ull);
+/// The seed ScoreCache::Fingerprint uses for 120 documents x 136 floats.
+constexpr uint64_t kShapeSeed = (120ull << 32) | 136;
+
+TEST(Hash64Test, MatchesReferenceXxh3Vectors) {
+  // XXH3_64bits_withSeed of xxHash 0.8.1 over prefixes of the sanity
+  // buffer. The lengths bracket every path: 0, 1-3, 4-8, 9-16, 17-128,
+  // 129-240, then the long loop, at and around one 1 KB block, and 65,280
+  // bytes (120 documents x 136 floats). Seed 0 hashes long inputs with the
+  // default secret, a non-zero seed with the one derived from it.
+  struct Vector {
+    size_t len;
+    uint64_t seed;
+    uint64_t hash;
+  };
+  constexpr Vector kVectors[] = {
+      {0, 0, 0x2D06800538D394C2ull},
+      {1, 0, 0xC44BDFF4074EECDBull},
+      {3, 0, 0x3F968B83E9A87DC3ull},
+      {4, 0, 0xCEB277F560083438ull},
+      {8, 0, 0x92731F68D8A8A634ull},
+      {9, 0, 0x56D6BD7878198283ull},
+      {16, 0, 0x027B4CB04C597E4Bull},
+      {17, 0, 0x0E1175449B89E26Full},
+      {128, 0, 0xE774EFC8B7526505ull},
+      {129, 0, 0xFD683CD797A1F6F8ull},
+      {240, 0, 0xC0D6647A0E620F7Eull},
+      {241, 0, 0x281410FD53152172ull},
+      {1023, 0, 0x6E2516D2B7082F69ull},
+      {1024, 0, 0x95C63C696323768Eull},
+      {1025, 0, 0x890C433F563CA294ull},
+      {4096, 0, 0x862B1EAAB93D2798ull},
+      {65280, 0, 0x46F59EA227CBE766ull},
+      {0, kShapeSeed, 0x0AB99E98C2E80C61ull},
+      {1, kShapeSeed, 0xCFAF07770AFAF69Full},
+      {3, kShapeSeed, 0xA72EE656226A0988ull},
+      {4, kShapeSeed, 0xAB74539BA32593DFull},
+      {8, kShapeSeed, 0x05D09BD032727856ull},
+      {9, kShapeSeed, 0x5E2AB6BA858E8913ull},
+      {16, kShapeSeed, 0x67A79D652770435Cull},
+      {17, kShapeSeed, 0x928D912C3789ADBCull},
+      {128, kShapeSeed, 0x9B17A5B36D2112FCull},
+      {129, kShapeSeed, 0x2496738771CDE827ull},
+      {240, kShapeSeed, 0x9AAAE4D3A6DB9CB9ull},
+      {241, kShapeSeed, 0xFEBE0F92E34FCF26ull},
+      {1023, kShapeSeed, 0xA26A65D62FD03753ull},
+      {1024, kShapeSeed, 0x72E65C0D11DD8249ull},
+      {1025, kShapeSeed, 0xB722B3F4CA6BB385ull},
+      {4096, kShapeSeed, 0xB9D797B2E48E6E9Dull},
+      {65280, kShapeSeed, 0x32D319E114CCD82Bull},
+  };
+  const std::vector<unsigned char> buffer = SanityBuffer(65280);
+  for (const Vector& v : kVectors) {
+    EXPECT_EQ(common::Hash64(buffer.data(), v.len, v.seed), v.hash)
+        << "len " << v.len << " seed " << v.seed;
+  }
+  EXPECT_EQ(common::Hash64(nullptr, 0, 0), 0x2D06800538D394C2ull);
 }
 
 TEST(Hash64Test, IndependentOfAlignmentAndSensitiveToSeed) {
-  // 8-byte loads from every offset of a buffer must read the same bytes.
-  constexpr std::string_view kText =
-      "77 bytes: two 32-byte stripes, "
-      "then the 8-byte, 4-byte and 1-byte tail steps.";
-  ASSERT_EQ(kText.size(), 77u);
-  const uint64_t expected = HashString(kText, 7);
-  std::vector<char> buffer(kText.size() + 8);
-  for (size_t offset = 0; offset < 8; ++offset) {
-    std::copy(kText.begin(), kText.end(), buffer.begin() + offset);
-    EXPECT_EQ(common::Hash64(buffer.data() + offset, kText.size(), 7),
+  // Unaligned loads from every offset of a 64-byte line must read the same
+  // bytes: 1025 bytes is one full block, its scramble and a last stripe.
+  const std::vector<unsigned char> source = SanityBuffer(1025);
+  const uint64_t expected = common::Hash64(source.data(), 1025, kShapeSeed);
+  std::vector<unsigned char> buffer(source.size() + 64);
+  for (size_t offset = 0; offset < 64; ++offset) {
+    std::copy(source.begin(), source.end(), buffer.begin() + offset);
+    EXPECT_EQ(common::Hash64(buffer.data() + offset, 1025, kShapeSeed),
               expected)
         << "offset " << offset;
   }
-  EXPECT_NE(HashString(kText, 8), expected);
+  EXPECT_NE(common::Hash64(source.data(), 1025, kShapeSeed + 1), expected);
+  EXPECT_NE(common::Hash64(source.data(), 1025, 0), expected);
+}
+
+TEST(Hash64Test, CompiledAccumulatorMatchesScalar) {
+  // Hash64 runs the stripe loop with the body this build's ISA selects
+  // (AVX-512, AVX2 or scalar); it must equal the plain C++ body on every
+  // length up to four blocks and at every start offset within a 64-byte
+  // line, the two seeds alternating with the offset. On a build without
+  // AVX2 the two are the same code.
+  using common::hash_internal::ScalarAccumulator;
+  using common::hash_internal::Xxh3;
+  constexpr size_t kMaxLen = 4096;
+  const std::vector<unsigned char> buffer = SanityBuffer(kMaxLen + 64);
+  size_t mismatches = 0;
+  for (size_t offset = 0; offset < 64; ++offset) {
+    const uint64_t seed = offset % 2 == 0 ? 0 : kShapeSeed;
+    const unsigned char* const data = buffer.data() + offset;
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      const uint64_t compiled = common::Hash64(data, len, seed);
+      const uint64_t scalar = Xxh3<ScalarAccumulator>(data, len, seed);
+      if (compiled != scalar && ++mismatches <= 5) {
+        ADD_FAILURE() << "len " << len << " offset " << offset;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(AlignedBufferTest, AlignmentAndZeroInit) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -96,6 +97,34 @@ TEST(MlpTest, SerializeRoundTrip) {
 TEST(MlpTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(Mlp::Deserialize("bogus").ok());
   EXPECT_FALSE(Mlp::Deserialize("mlp 4 1 8\nlayer 9 9\n").ok());
+}
+
+TEST(MlpTest, DeserializeReadsEveryWeightFromTheText) {
+  // A decoded network holds exactly the text's numbers, whatever the
+  // decoder allocated them with.
+  const std::string text =
+      "mlp 3 1 2\n"
+      "layer 2 3\n"
+      "0.5 -1.25 0.001 2 0.125 -3\n"
+      "0.25 -0.5\n"
+      "layer 1 2\n"
+      "1.5 -2e-05\n"
+      "0.75\n";
+  auto parsed = Mlp::Deserialize(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->num_layers(), 2u);
+  const std::vector<std::vector<float>> weights = {
+      {0.5f, -1.25f, 0.001f, 2.0f, 0.125f, -3.0f}, {1.5f, -2e-05f}};
+  const std::vector<std::vector<float>> biases = {{0.25f, -0.5f}, {0.75f}};
+  for (uint32_t l = 0; l < 2; ++l) {
+    const LinearLayer& layer = parsed->layer(l);
+    ASSERT_EQ(layer.weight.size(), weights[l].size());
+    for (size_t i = 0; i < weights[l].size(); ++i) {
+      EXPECT_EQ(layer.weight.data()[i], weights[l][i])
+          << "layer " << l << " weight " << i;
+    }
+    EXPECT_EQ(layer.bias, biases[l]) << "layer " << l;
+  }
 }
 
 TEST(MlpTest, WeightSparsityCountsZeros) {
