@@ -17,6 +17,7 @@
 #include "data/synthetic.h"
 #include "forest/quickscorer.h"
 #include "metrics/metrics.h"
+#include "nn/scorer.h"
 
 int main(int argc, char** argv) {
   using namespace dnlr;
@@ -74,22 +75,19 @@ int main(int argc, char** argv) {
               "distilled from)\n",
               teacher.num_trees(), teacher.MaxLeaves());
 
-  std::vector<core::DistilledModel> models;
-  std::vector<std::unique_ptr<forest::DocumentScorer>> neural_scorers;
   for (const char* spec : {"100x50x50x25", "200x100x100x50", "300x200x100"}) {
     const auto arch =
         predict::Architecture::Parse(spec, splits.train.num_features());
-    models.push_back(
-        pipeline.DistillAndPrune(*arch, splits.train, teacher));
-    neural_scorers.push_back(models.back().MakeScorer());
-    const auto scores = neural_scorers.back()->ScoreDataset(splits.test);
-    points.push_back(
-        {std::string("neural-") + spec,
-         metrics::MeanNdcg(splits.test, scores, 10),
-         core::MeasureScorerMicrosPerDoc(*neural_scorers.back(), splits.test)});
+    const core::DistilledModel model =
+        pipeline.DistillAndPrune(*arch, splits.train, teacher);
+    const auto scorer = nn::MakeStudentScorer(model.mlp, &model.normalizer);
+    const auto scores = scorer->ScoreDataset(splits.test);
+    points.push_back({std::string("neural-") + spec,
+                      metrics::MeanNdcg(splits.test, scores, 10),
+                      core::MeasureScorerMicrosPerDoc(*scorer, splits.test)});
     std::printf("distilled %s: NDCG@10 %.4f, %.2f us/doc (L1 %.1f%% sparse)\n",
                 spec, points.back().ndcg10, points.back().us_per_doc,
-                100.0 * models.back().first_layer_sparsity);
+                100.0 * model.first_layer_sparsity);
   }
 
   // --- The trade-off table. ---

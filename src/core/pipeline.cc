@@ -2,14 +2,6 @@
 
 namespace dnlr::core {
 
-std::unique_ptr<forest::DocumentScorer> DistilledModel::MakeScorer(
-    nn::NeuralScorerConfig config) const {
-  if (first_layer_sparsity >= 0.5) {
-    return std::make_unique<nn::HybridNeuralScorer>(mlp, &normalizer, config);
-  }
-  return std::make_unique<nn::NeuralScorer>(mlp, &normalizer, config);
-}
-
 gbdt::Ensemble Pipeline::TrainTeacher(const data::DatasetSplits& splits) const {
   gbdt::Booster booster(config_.teacher);
   return booster.TrainLambdaMart(splits.train, &splits.valid);

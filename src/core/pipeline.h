@@ -1,13 +1,10 @@
 #ifndef DNLR_CORE_PIPELINE_H_
 #define DNLR_CORE_PIPELINE_H_
 
-#include <memory>
-
 #include "data/dataset.h"
 #include "data/normalize.h"
 #include "gbdt/booster.h"
 #include "nn/mlp.h"
-#include "nn/scorer.h"
 #include "nn/trainer.h"
 #include "predict/architecture.h"
 #include "prune/schedule.h"
@@ -21,7 +18,6 @@ struct PipelineConfig {
   gbdt::BoosterConfig teacher;
   nn::TrainConfig distill;
   prune::PruneScheduleConfig prune;
-  nn::NeuralScorerConfig scorer;
 
   PipelineConfig() {
     // Teachers trade efficiency for accuracy: many leaves, early stopping on
@@ -32,17 +28,13 @@ struct PipelineConfig {
 };
 
 /// A distilled (optionally pruned) neural ranker bundled with everything
-/// needed to score raw feature vectors.
+/// needed to score raw feature vectors; nn::MakeStudentScorer(mlp,
+/// &normalizer) builds the engine it is served on.
 struct DistilledModel {
   nn::Mlp mlp;
   nn::WeightMasks masks;
   data::ZNormalizer normalizer;
   double first_layer_sparsity = 0.0;
-
-  /// Builds the matching inference engine: hybrid when the first layer is
-  /// meaningfully sparse, dense otherwise.
-  std::unique_ptr<forest::DocumentScorer> MakeScorer(
-      nn::NeuralScorerConfig config = nn::NeuralScorerConfig()) const;
 };
 
 /// The paper's training pipeline as a reusable object.

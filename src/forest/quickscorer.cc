@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "forest/validate.h"
+#include "forest/wide_quickscorer.h"
 #include "obs/trace.h"
 
 namespace dnlr::forest {
@@ -203,6 +204,14 @@ void BlockwiseQuickScorer::Score(const float* docs, uint32_t count,
       out[d] += static_cast<float>(block.Harvest(leaf_index.data()));
     }
   }
+}
+
+std::unique_ptr<DocumentScorer> MakeForestScorer(
+    const gbdt::Ensemble& ensemble, uint32_t num_features) {
+  if (ensemble.MaxLeaves() > 64) {
+    return std::make_unique<WideQuickScorer>(ensemble, num_features);
+  }
+  return std::make_unique<QuickScorer>(ensemble, num_features);
 }
 
 }  // namespace dnlr::forest

@@ -2,6 +2,7 @@
 #define DNLR_FOREST_QUICKSCORER_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "forest/scorer.h"
@@ -96,6 +97,12 @@ class BlockwiseQuickScorer : public DocumentScorer {
   std::vector<QuickScorer> blocks_;
   double base_score_ = 0.0;
 };
+
+/// The engine a forest is served on: QuickScorer when every tree has at most
+/// 64 leaves, WideQuickScorer otherwise. The one place this choice is made;
+/// both engines copy `ensemble`, so it need not outlive the scorer.
+std::unique_ptr<DocumentScorer> MakeForestScorer(
+    const gbdt::Ensemble& ensemble, uint32_t num_features);
 
 }  // namespace dnlr::forest
 

@@ -282,4 +282,13 @@ Result<Ensemble> Ensemble::LoadFromFile(const std::string& path) {
   return Deserialize(*text);
 }
 
+Ensemble TeacherSubset(const Ensemble& teacher) {
+  Ensemble subset(teacher.base_score());
+  const uint32_t keep = std::max(1u, teacher.num_trees() / 4);
+  for (uint32_t t = 0; t < keep && t < teacher.num_trees(); ++t) {
+    subset.AddTree(teacher.tree(t));
+  }
+  return subset;
+}
+
 }  // namespace dnlr::gbdt

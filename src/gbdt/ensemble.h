@@ -85,6 +85,10 @@ class Ensemble {
   double base_score_ = 0.0;
 };
 
+/// The served teacher-subset rung and cascade first stage: the first
+/// max(1, num_trees / 4) trees of `teacher` (none if it has none).
+Ensemble TeacherSubset(const Ensemble& teacher);
+
 }  // namespace dnlr::gbdt
 
 #endif  // DNLR_GBDT_ENSEMBLE_H_

@@ -128,4 +128,13 @@ HybridNeuralScorer::HybridNeuralScorer(const Mlp& mlp,
                                        NeuralScorerConfig config)
     : NeuralScorer(mlp, normalizer, config, /*sparse_first_layer=*/true) {}
 
+std::unique_ptr<forest::DocumentScorer> MakeStudentScorer(
+    const Mlp& mlp, const data::ZNormalizer* normalizer,
+    NeuralScorerConfig config) {
+  if (mlp.layer(0).weight.Sparsity() >= 0.5) {
+    return std::make_unique<HybridNeuralScorer>(mlp, normalizer, config);
+  }
+  return std::make_unique<NeuralScorer>(mlp, normalizer, config);
+}
+
 }  // namespace dnlr::nn

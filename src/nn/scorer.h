@@ -1,6 +1,7 @@
 #ifndef DNLR_NN_SCORER_H_
 #define DNLR_NN_SCORER_H_
 
+#include <memory>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -123,6 +124,13 @@ class HybridNeuralScorer : public NeuralScorer {
     return first_layer_csr_.Sparsity();
   }
 };
+
+/// The engine a student is served on (the paper's deployment split): hybrid
+/// when layer 0 is at least half zeros, dense otherwise. The one place this
+/// choice is made; arguments as for the scorers' constructors.
+std::unique_ptr<forest::DocumentScorer> MakeStudentScorer(
+    const Mlp& mlp, const data::ZNormalizer* normalizer,
+    NeuralScorerConfig config = NeuralScorerConfig());
 
 }  // namespace dnlr::nn
 

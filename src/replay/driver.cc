@@ -70,13 +70,6 @@ gbdt::Ensemble TrainForest(const data::Dataset& dataset, uint32_t trees,
   return gbdt::Booster(bc).TrainLambdaMart(dataset, nullptr);
 }
 
-gbdt::Ensemble FirstTrees(const gbdt::Ensemble& forest, uint32_t divisor) {
-  gbdt::Ensemble subset(forest.base_score());
-  const uint32_t keep = std::max(1u, forest.num_trees() / divisor);
-  for (uint32_t t = 0; t < keep; ++t) subset.AddTree(forest.tree(t));
-  return subset;
-}
-
 // ---- Bundle fixture ------------------------------------------------------
 
 BundleFixture::BundleFixture(const ServeConfig& serve,
@@ -87,10 +80,9 @@ BundleFixture::BundleFixture(const ServeConfig& serve,
       dataset_(SyntheticCorpus(static_cast<uint32_t>(serve.queries),
                                features_, seed_)),
       teacher_(TrainForest(dataset_, static_cast<uint32_t>(config.trees), 16)),
-      subset_(FirstTrees(teacher_, options_.subset_tree_divisor)),
       student_(predict::Architecture(features_, {64, 32}), seed_ + 1),
       normalizer_(FitNormalizer(dataset_)),
-      subset_scorer_(subset_, features_),
+      subset_scorer_(gbdt::TeacherSubset(teacher_), features_),
       student_scorer_(student_, &normalizer_) {
   options_.num_features = features_;
   const double student_cost = core::MeasureScorerMicrosPerDocSynthetic(
@@ -99,7 +91,7 @@ BundleFixture::BundleFixture(const ServeConfig& serve,
       subset_scorer_, 2048, features_);
   costs_[0] = student_cost;
   costs_[1] = serve::PredictCascadeMicrosPerDoc(
-      subset_cost, student_cost, options_.cascade_rescore_fraction);
+      subset_cost, student_cost, serve::kServedCascadeRescoreFraction);
   costs_[2] = subset_cost;
   // The ladder (and the bundle's rung grammar) require non-increasing costs.
   for (int i = 1; i < 3; ++i) costs_[i] = std::min(costs_[i], costs_[i - 1]);
@@ -377,12 +369,6 @@ std::vector<Gate> SoakGates(const SoakOutcome& outcome) {
 
 // ---- Report writer -------------------------------------------------------
 
-std::string FormatFixed(double value, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
-  return buf;
-}
-
 bool EnsureParentDir(const std::string& path) {
   const std::filesystem::path parent =
       std::filesystem::path(path).parent_path();
@@ -417,9 +403,7 @@ bool WriteReport(const std::string& path, const std::string& json,
   return true;
 }
 
-int FinishGatedReport(const std::string& path, const std::string& json,
-                      const GateVerdict& verdict, const char* what) {
-  if (!WriteReport(path, json)) return 1;
+int ReportGates(const GateVerdict& verdict, const char* what) {
   for (const Gate& gate : verdict.failed) {
     std::fprintf(stderr, "FAIL [%s] %s: %.6g, bound %s %.6g\n", what,
                  gate.name.c_str(), gate.value,
@@ -428,6 +412,12 @@ int FinishGatedReport(const std::string& path, const std::string& json,
   std::fprintf(stderr, "%s gate %s\n", what,
                verdict.pass ? "passed" : "FAILED");
   return verdict.pass ? 0 : 1;
+}
+
+int FinishGatedReport(const std::string& path, const std::string& json,
+                      const GateVerdict& verdict, const char* what) {
+  if (!WriteReport(path, json)) return 1;
+  return ReportGates(verdict, what);
 }
 
 }  // namespace dnlr::replay

@@ -47,8 +47,6 @@ data::Dataset SyntheticCorpus(uint32_t queries, uint32_t features,
 /// LambdaMART over `dataset` (no validation set), logged to stderr.
 gbdt::Ensemble TrainForest(const data::Dataset& dataset, uint32_t trees,
                            uint32_t leaves);
-/// The first max(1, num_trees / divisor) trees: a teacher-subset rung.
-gbdt::Ensemble FirstTrees(const gbdt::Ensemble& forest, uint32_t divisor);
 
 // ---- Bundle fixture ------------------------------------------------------
 
@@ -115,7 +113,6 @@ class BundleFixture {
   serve::ServableOptions options_;
   data::Dataset dataset_;
   gbdt::Ensemble teacher_;
-  gbdt::Ensemble subset_;
   nn::Mlp student_;
   data::ZNormalizer normalizer_;
   forest::QuickScorer subset_scorer_;
@@ -306,14 +303,14 @@ bool EnsureParentDir(const std::string& path);
 bool WriteReport(const std::string& path, const std::string& json,
                  bool echo = true);
 
-/// WriteReport, then the gated mode's exit code: 0 when written and every
-/// gate held, 1 otherwise. Each failed row goes to stderr with its value
-/// and bound.
+/// A gated command's verdict on stderr: each failed row as "FAIL [<what>]
+/// <name>: <value>, bound <op> <bound>", then "<what> gate passed|FAILED".
+/// Returns the command's exit code: 0 when every gate held, 1 otherwise.
+int ReportGates(const GateVerdict& verdict, const char* what);
+
+/// WriteReport, then ReportGates: 1 when the report cannot be written.
 int FinishGatedReport(const std::string& path, const std::string& json,
                       const GateVerdict& verdict, const char* what);
-
-/// Fixed-precision JSON number (never scientific notation).
-std::string FormatFixed(double value, int precision);
 
 }  // namespace dnlr::replay
 

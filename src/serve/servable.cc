@@ -7,7 +7,7 @@
 
 #include "core/cascade.h"
 #include "forest/quickscorer.h"
-#include "forest/wide_quickscorer.h"
+#include "gbdt/ensemble.h"
 #include "gbdt/validate.h"
 #include "nn/scorer.h"
 #include "nn/validate.h"
@@ -33,16 +33,6 @@ Result<std::unique_ptr<Servable>> Servable::LoadFromFile(
 
 Status Servable::Build(const bundle::MappedBundle& bundle,
                        const ServableOptions& options) {
-  if (options.cascade_rescore_fraction <= 0.0 ||
-      options.cascade_rescore_fraction > 1.0) {
-    return Status::InvalidArgument(
-        "servable: cascade_rescore_fraction must be in (0, 1]");
-  }
-  if (options.subset_tree_divisor == 0) {
-    return Status::InvalidArgument(
-        "servable: subset_tree_divisor must be >= 1");
-  }
-
   Result<bundle::RungConfig> rungs = bundle.Rungs();
   if (!rungs.ok()) return rungs.status();
   rung_config_ = std::move(rungs).value();
@@ -109,19 +99,12 @@ Status Servable::Build(const bundle::MappedBundle& bundle,
     }
     student_model.emplace(std::move(student).value());
   }
+  std::optional<gbdt::Ensemble> teacher;
   if (needs_teacher || needs_subset) {
-    Result<gbdt::Ensemble> teacher = bundle.Teacher();
-    if (!teacher.ok()) return teacher.status();
-    DNLR_RETURN_IF_ERROR(gbdt::ValidateEnsemble(*teacher, num_features_));
-    teacher_ = std::move(teacher).value();
-  }
-  if (needs_subset) {
-    subset_.emplace(teacher_->base_score());
-    const uint32_t keep = std::max(
-        1u, teacher_->num_trees() / options.subset_tree_divisor);
-    for (uint32_t t = 0; t < keep && t < teacher_->num_trees(); ++t) {
-      subset_->AddTree(teacher_->tree(t));
-    }
+    Result<gbdt::Ensemble> decoded = bundle.Teacher();
+    if (!decoded.ok()) return decoded.status();
+    DNLR_RETURN_IF_ERROR(gbdt::ValidateEnsemble(*decoded, num_features_));
+    teacher.emplace(std::move(decoded).value());
   }
 
   // Scorers shared across rungs are built once; heap storage keeps their
@@ -132,38 +115,23 @@ Status Servable::Build(const bundle::MappedBundle& bundle,
   // "parallelism never wins here" gets serial rungs, not taxed ones.
   nn_config.min_parallel_docs =
       std::max(nn_config.min_parallel_docs, options.min_parallel_docs);
-  const data::ZNormalizer* normalizer =
-      normalizer_.has_value() ? &*normalizer_ : nullptr;
-
-  const auto make_forest_scorer =
-      [&](const gbdt::Ensemble& model) -> const forest::DocumentScorer* {
-    if (model.MaxLeaves() > 64) {
-      doc_scorers_.push_back(
-          std::make_unique<forest::WideQuickScorer>(model, num_features_));
-    } else {
-      doc_scorers_.push_back(
-          std::make_unique<forest::QuickScorer>(model, num_features_));
-    }
+  const auto keep = [&](std::unique_ptr<forest::DocumentScorer> scorer) {
+    doc_scorers_.push_back(std::move(scorer));
     return doc_scorers_.back().get();
   };
-
-  const forest::DocumentScorer* student_scorer = nullptr;
-  if (needs_student) {
-    // The paper's deployment split: a heavily pruned first layer runs on
-    // the sparse engine, an unpruned student on the dense one.
-    if (student_model->layer(0).weight.Sparsity() >= 0.5) {
-      doc_scorers_.push_back(std::make_unique<nn::HybridNeuralScorer>(
-          *student_model, normalizer, nn_config));
-    } else {
-      doc_scorers_.push_back(std::make_unique<nn::NeuralScorer>(
-          *student_model, normalizer, nn_config));
-    }
-    student_scorer = doc_scorers_.back().get();
-  }
+  const forest::DocumentScorer* student_scorer =
+      needs_student
+          ? keep(nn::MakeStudentScorer(
+                *student_model,
+                normalizer_.has_value() ? &*normalizer_ : nullptr, nn_config))
+          : nullptr;
   const forest::DocumentScorer* teacher_scorer =
-      needs_teacher ? make_forest_scorer(*teacher_) : nullptr;
+      needs_teacher ? keep(forest::MakeForestScorer(*teacher, num_features_))
+                    : nullptr;
   const forest::DocumentScorer* subset_scorer =
-      needs_subset ? make_forest_scorer(*subset_) : nullptr;
+      needs_subset ? keep(forest::MakeForestScorer(
+                         gbdt::TeacherSubset(*teacher), num_features_))
+                   : nullptr;
   const forest::DocumentScorer* cascade_scorer = nullptr;
 
   for (const bundle::RungSpec& spec : rung_config_.rungs) {
@@ -176,10 +144,8 @@ Status Servable::Build(const bundle::MappedBundle& bundle,
       scorer = subset_scorer;
     } else {  // "cascade", the only kind left after the scan above
       if (cascade_scorer == nullptr) {
-        doc_scorers_.push_back(std::make_unique<core::CascadeScorer>(
-            subset_scorer, student_scorer,
-            options.cascade_rescore_fraction));
-        cascade_scorer = doc_scorers_.back().get();
+        cascade_scorer = keep(std::make_unique<core::CascadeScorer>(
+            subset_scorer, student_scorer, kServedCascadeRescoreFraction));
       }
       scorer = cascade_scorer;
     }

@@ -11,22 +11,21 @@
 #include "common/thread_pool.h"
 #include "data/normalize.h"
 #include "forest/scorer.h"
-#include "gbdt/ensemble.h"
 #include "serve/ladder.h"
 #include "serve/scorer.h"
 
 namespace dnlr::serve {
 
+/// Share of first-stage survivors the student rescores in the served cascade.
+inline constexpr double kServedCascadeRescoreFraction = 0.25;
+
+/// How a Servable runs its rungs. Engines are not options: they follow from
+/// the models (see the rung kinds below).
 struct ServableOptions {
   /// Input stride of the feature rows the rungs will score. 0 derives it
   /// from the bundle's normalizer statistics; a bundle with no normalizer
   /// section then fails to load with InvalidArgument.
   uint32_t num_features = 0;
-  /// Fraction of first-stage survivors the cascade rung rescores.
-  double cascade_rescore_fraction = 0.25;
-  /// The teacher-subset rung keeps the first num_trees / divisor trees of
-  /// the teacher (at least one).
-  uint32_t subset_tree_divisor = 4;
   /// Optional intra-request parallelism for the neural rungs. Not owned;
   /// must outlive the Servable.
   common::ThreadPool* pool = nullptr;
@@ -44,23 +43,23 @@ struct ServableOptions {
 };
 
 /// Everything a hot-swappable model generation needs to serve, owned in one
-/// place. The scorer classes all borrow their inputs (NeuralScorer keeps
-/// the normalizer by pointer, CascadeScorer borrows both stages, QuickScorer
-/// retains its ensemble, the ladder borrows every FallibleScorer), so
-/// reloading a model from disk means rebuilding this whole object graph with
-/// one owner and publishing it atomically. Servable is that owner: it
-/// decodes a bundle::MappedBundle, validates every model with the
-/// dnlr::validate invariant suites (explicitly — release builds skip the
-/// debug-only parse-time validation), builds one rung per bundle RungSpec,
-/// and exposes the resulting DegradationLadder.
+/// place. The scorers borrow some of their inputs (NeuralScorer keeps the
+/// normalizer by pointer, CascadeScorer borrows both stages, the ladder
+/// borrows every FallibleScorer), so reloading a model from disk means
+/// rebuilding this whole object graph with one owner and publishing it
+/// atomically. Servable is that owner: it decodes a bundle::MappedBundle,
+/// validates every model with the dnlr::validate invariant suites
+/// (explicitly — release builds skip the debug-only parse-time
+/// validation), builds one rung per bundle RungSpec, and exposes the
+/// resulting DegradationLadder. The engines copy the models they score, so
+/// the decoded models are dropped once the ladder is built.
 ///
 /// Rung kinds map to the study's serving configurations:
-///   "student"        the distilled MLP (hybrid sparse engine when the first
-///                    layer is >= 50% sparse, dense otherwise)
-///   "teacher"        the full LambdaMART ensemble under QuickScorer
-///                    (WideQuickScorer above 64 leaves)
-///   "cascade"        teacher-subset first stage + student rescoring
-///   "teacher-subset" the first num_trees / subset_tree_divisor trees
+///   "student"        the distilled MLP under nn::MakeStudentScorer
+///   "teacher"        the LambdaMART ensemble under forest::MakeForestScorer
+///   "cascade"        teacher-subset first stage + student rescoring of
+///                    kServedCascadeRescoreFraction of the survivors
+///   "teacher-subset" gbdt::TeacherSubset under forest::MakeForestScorer
 ///
 /// Immutable after construction; scoring through the ladder is thread-safe.
 class Servable {
@@ -106,12 +105,9 @@ class Servable {
   bundle::RungConfig rung_config_;
   uint32_t num_features_ = 0;
 
-  // Owned model objects and scorers, declared in dependency order: the
-  // ensembles and normalizer outlive the document scorers built over them,
-  // which outlive the fallible adapters, which outlive the ladder that
-  // borrows them. Heap-held scorers keep stable addresses for the borrows.
-  std::optional<gbdt::Ensemble> teacher_;
-  std::optional<gbdt::Ensemble> subset_;
+  // Declared in dependency order: the normalizer outlives the document
+  // scorers, which outlive the fallible adapters, which outlive the ladder
+  // that borrows them. Heap-held scorers keep stable addresses.
   std::optional<data::ZNormalizer> normalizer_;
   std::vector<std::unique_ptr<forest::DocumentScorer>> doc_scorers_;
   std::vector<std::unique_ptr<FallibleScorer>> fallible_scorers_;

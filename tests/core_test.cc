@@ -7,6 +7,7 @@
 #include "data/synthetic.h"
 #include "forest/quickscorer.h"
 #include "metrics/metrics.h"
+#include "nn/scorer.h"
 
 namespace dnlr::core {
 namespace {
@@ -152,7 +153,7 @@ TEST(PipelineTest, EndToEndDistillPruneScore) {
 
   // The bundled scorer must be the hybrid engine and must rank far better
   // than random.
-  const auto scorer = model.MakeScorer();
+  const auto scorer = nn::MakeStudentScorer(model.mlp, &model.normalizer);
   EXPECT_EQ(scorer->name(), "neural-hybrid-sparse");
   const auto scores = scorer->ScoreDataset(splits.test);
   const double ndcg = metrics::MeanNdcg(splits.test, scores, 10);
@@ -169,7 +170,9 @@ TEST(PipelineTest, EndToEndDistillPruneScore) {
   const DistilledModel dense_model =
       pipeline.DistillDense(arch, splits.train, teacher);
   EXPECT_LT(dense_model.first_layer_sparsity, 0.5);
-  EXPECT_EQ(dense_model.MakeScorer()->name(), "neural-dense");
+  EXPECT_EQ(
+      nn::MakeStudentScorer(dense_model.mlp, &dense_model.normalizer)->name(),
+      "neural-dense");
 }
 
 }  // namespace

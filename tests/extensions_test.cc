@@ -1,6 +1,6 @@
 // Tests for the extension modules implementing the paper's future-work
-// directions and >64-leaf limitation: WideQuickScorer, int8 quantization,
-// the LambdaMART hyper-parameter tuner, and the early-exit cascade — plus a
+// directions and >64-leaf limitation: WideQuickScorer, the LambdaMART
+// hyper-parameter tuner, and the early-exit cascade — plus a
 // finite-difference gradient check on the MLP trainer.
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "gbdt/booster.h"
 #include "gbdt/tuner.h"
 #include "metrics/metrics.h"
-#include "nn/quantize.h"
 #include "nn/scorer.h"
 #include "nn/trainer.h"
 
@@ -107,64 +106,6 @@ TEST(WideQuickScorerEdgeTest, ExactlyLeafBoundaryWidths) {
           << "leaves " << leaves << " x " << x;
     }
   }
-}
-
-TEST_F(ExtensionsFixture, QuantizedMlpTracksFloatModel) {
-  nn::Mlp mlp(Architecture(splits_->train.num_features(), {32, 16}), 5);
-  const nn::QuantizedMlp quantized(mlp);
-  // 4x smaller weights (modulo per-row scales).
-  EXPECT_LT(quantized.WeightBytes(), quantized.FloatWeightBytes() / 3);
-  // Reconstruction error bounded by half a quantization step per weight.
-  for (uint32_t l = 0; l < quantized.num_layers(); ++l) {
-    float max_scale = 0.0f;
-    for (const float s : quantized.layer(l).row_scales) {
-      max_scale = std::max(max_scale, s);
-    }
-    EXPECT_LE(quantized.MaxReconstructionError(mlp, l), 0.5f * max_scale + 1e-6f);
-  }
-  // Outputs stay close on real inputs.
-  data::ZNormalizer normalizer;
-  normalizer.Fit(splits_->train);
-  std::vector<float> row(splits_->train.num_features());
-  double max_diff = 0.0;
-  double max_abs = 0.0;
-  for (uint32_t d = 0; d < std::min(200u, splits_->test.num_docs()); ++d) {
-    const float* raw = splits_->test.Row(d);
-    std::copy(raw, raw + row.size(), row.begin());
-    normalizer.Apply(row.data());
-    const float exact = mlp.ForwardOne(row.data());
-    const float approx = quantized.ForwardOne(row.data());
-    max_diff = std::max<double>(max_diff, std::fabs(exact - approx));
-    max_abs = std::max<double>(max_abs, std::fabs(exact));
-  }
-  EXPECT_LT(max_diff, 0.05 * std::max(1.0, max_abs));
-}
-
-TEST_F(ExtensionsFixture, QuantizedScorerPreservesRankingQuality) {
-  gbdt::BoosterConfig config;
-  config.num_trees = 30;
-  config.num_leaves = 16;
-  config.learning_rate = 0.15;
-  gbdt::Booster booster(config);
-  const gbdt::Ensemble teacher =
-      booster.TrainLambdaMart(splits_->train, nullptr);
-  data::ZNormalizer normalizer;
-  normalizer.Fit(splits_->train);
-  nn::TrainConfig train;
-  train.epochs = 12;
-  train.batch_size = 128;
-  train.adam.learning_rate = 2e-3;
-  nn::Mlp student(Architecture(splits_->train.num_features(), {32, 16}), 6);
-  nn::Trainer(train).TrainDistillation(&student, splits_->train, teacher,
-                                       normalizer);
-
-  const nn::NeuralScorer float_scorer(student, &normalizer);
-  const nn::QuantizedNeuralScorer int8_scorer(student, &normalizer);
-  const double float_ndcg = metrics::MeanNdcg(
-      splits_->test, float_scorer.ScoreDataset(splits_->test), 10);
-  const double int8_ndcg = metrics::MeanNdcg(
-      splits_->test, int8_scorer.ScoreDataset(splits_->test), 10);
-  EXPECT_NEAR(int8_ndcg, float_ndcg, 0.01);
 }
 
 TEST_F(ExtensionsFixture, TunerFindsReasonableConfig) {

@@ -8,12 +8,19 @@
 #include <mutex>
 #include <vector>
 
+#include "bundle/bundle.h"
+#include "bundle/mapped_bundle.h"
 #include "common/clock.h"
+#include "common/rng.h"
+#include "forest/quickscorer.h"
+#include "gbdt/ensemble.h"
+#include "nn/scorer.h"
 #include "serve/deadline.h"
 #include "serve/engine.h"
 #include "serve/fault_injection.h"
 #include "serve/ladder.h"
 #include "serve/latency.h"
+#include "serve/servable.h"
 
 namespace dnlr::serve {
 namespace {
@@ -795,6 +802,133 @@ TEST(ServingEngineIntegrationTest, FaultyTopRungNeverMissesDeadlines) {
     served_below_top += counters.served_by_rung[i];
   }
   EXPECT_GT(served_below_top, 0u);
+}
+
+// ---- One rule per serving decision ---------------------------------------
+// Servable, the CLI and the serve benches take each engine choice from one
+// shared function; these pin both sides of every threshold and that the
+// served rungs use what those functions pick.
+
+/// A 10-input student with one hidden layer whose first `zeros` layer-0
+/// weights (of 100) are zero.
+nn::Mlp StudentWithZeros(uint32_t zeros) {
+  nn::Mlp mlp(predict::Architecture(10, {10}), /*seed=*/3);
+  mm::Matrix& weight = mlp.layer(0).weight;
+  for (uint32_t i = 0; i < weight.rows() * weight.cols(); ++i) {
+    weight.data()[i] = i < zeros ? 0.0f : 0.5f;
+  }
+  return mlp;
+}
+
+/// A right-spine tree over feature 0 with `leaves` leaves.
+gbdt::RegressionTree SpineTree(uint32_t leaves) {
+  std::vector<gbdt::TreeNode> nodes(leaves - 1);
+  std::vector<double> values(leaves);
+  for (uint32_t i = 0; i + 1 < leaves; ++i) {
+    nodes[i].feature = 0;
+    nodes[i].threshold = static_cast<float>(i) * 0.1f - 2.0f;
+    nodes[i].left = gbdt::TreeNode::EncodeLeaf(i);
+    nodes[i].right = i + 2 < leaves ? static_cast<int32_t>(i + 1)
+                                    : gbdt::TreeNode::EncodeLeaf(leaves - 1);
+    values[i] = 0.01 * i;
+  }
+  values[leaves - 1] = 0.01 * (leaves - 1);
+  return gbdt::RegressionTree(std::move(nodes), std::move(values));
+}
+
+TEST(EngineChoiceTest, StudentGoesHybridAtHalfSparseFirstLayer) {
+  const nn::Mlp below = StudentWithZeros(49);
+  const nn::Mlp at = StudentWithZeros(50);
+  ASSERT_DOUBLE_EQ(below.layer(0).weight.Sparsity(), 0.49);
+  ASSERT_DOUBLE_EQ(at.layer(0).weight.Sparsity(), 0.5);
+  EXPECT_EQ(nn::MakeStudentScorer(below, nullptr)->name(), "neural-dense");
+  EXPECT_EQ(nn::MakeStudentScorer(at, nullptr)->name(),
+            "neural-hybrid-sparse");
+}
+
+TEST(EngineChoiceTest, ForestGoesWideAbove64Leaves) {
+  gbdt::Ensemble narrow(0.0);
+  narrow.AddTree(SpineTree(64));
+  gbdt::Ensemble wide(0.0);
+  wide.AddTree(SpineTree(64));
+  wide.AddTree(SpineTree(65));
+  EXPECT_EQ(forest::MakeForestScorer(narrow, 1)->name(), "quickscorer");
+  EXPECT_EQ(forest::MakeForestScorer(wide, 1)->name(), "wide-quickscorer");
+}
+
+TEST(EngineChoiceTest, TeacherSubsetKeepsAQuarterAndNeverReadsPastTheEnd) {
+  const auto subset_size = [](uint32_t trees) {
+    gbdt::Ensemble teacher(0.5);
+    for (uint32_t t = 0; t < trees; ++t) teacher.AddTree(SpineTree(2 + t));
+    const gbdt::Ensemble subset = gbdt::TeacherSubset(teacher);
+    EXPECT_EQ(subset.base_score(), 0.5);
+    for (uint32_t t = 0; t < subset.num_trees(); ++t) {
+      EXPECT_EQ(subset.tree(t).num_leaves(), 2 + t);
+    }
+    return subset.num_trees();
+  };
+  EXPECT_EQ(subset_size(0), 0u);
+  EXPECT_EQ(subset_size(1), 1u);
+  EXPECT_EQ(subset_size(7), 1u);
+  EXPECT_EQ(subset_size(8), 2u);
+  EXPECT_EQ(subset_size(41), 10u);
+}
+
+TEST(EngineChoiceTest, ServableRungsUseTheSharedChoices) {
+  constexpr uint32_t kFeatures = 10;
+  // The teacher needs the wide engine (65 leaves); its subset, the first
+  // of its four trees, fits QuickScorer.
+  gbdt::Ensemble teacher(0.25);
+  teacher.AddTree(SpineTree(10));
+  for (int t = 0; t < 3; ++t) teacher.AddTree(SpineTree(65));
+  const gbdt::Ensemble subset = gbdt::TeacherSubset(teacher);
+  ASSERT_EQ(subset.num_trees(), 1u);
+  std::vector<float> mean(kFeatures, 0.1f);
+  std::vector<float> stddev(kFeatures, 2.0f);
+  const data::ZNormalizer normalizer(mean, stddev);
+
+  for (const uint32_t zeros : {49u, 50u}) {
+    const nn::Mlp student = StudentWithZeros(zeros);
+    bundle::RungConfig rungs;
+    rungs.rungs = {{"student", "student", 4.0},
+                   {"teacher", "teacher", 3.0},
+                   {"subset", "teacher-subset", 1.0}};
+    bundle::ModelBundle pack;
+    ASSERT_TRUE(pack.SetTeacher(teacher).ok());
+    ASSERT_TRUE(pack.SetStudent(student).ok());
+    ASSERT_TRUE(pack.SetNormalizer(normalizer).ok());
+    ASSERT_TRUE(pack.SetRungs(rungs).ok());
+    auto loaded = bundle::MappedBundle::FromBytes(pack.Serialize());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    auto servable = Servable::FromBundle(*loaded);
+    ASSERT_TRUE(servable.ok()) << servable.status().ToString();
+    const DegradationLadder& ladder = (*servable)->ladder();
+    ASSERT_EQ(ladder.num_rungs(), 3u);
+
+    const std::unique_ptr<forest::DocumentScorer> expected[3] = {
+        nn::MakeStudentScorer(student, &normalizer),
+        forest::MakeForestScorer(teacher, kFeatures),
+        forest::MakeForestScorer(subset, kFeatures)};
+    EXPECT_EQ(expected[0]->name(), zeros < 50 ? "neural-dense"
+                                              : "neural-hybrid-sparse");
+    EXPECT_EQ(expected[1]->name(), "wide-quickscorer");
+    EXPECT_EQ(expected[2]->name(), "quickscorer");
+
+    Rng rng(zeros);
+    std::vector<float> docs(16 * kFeatures);
+    for (float& value : docs) value = static_cast<float>(rng.Normal());
+    for (size_t r = 0; r < 3; ++r) {
+      EXPECT_EQ(ladder.rung(r).scorer->name(), expected[r]->name());
+      std::vector<float> served(16);
+      std::vector<float> direct(16);
+      ASSERT_TRUE(ladder.rung(r)
+                      .scorer
+                      ->TryScore(docs.data(), 16, kFeatures, served.data())
+                      .ok());
+      expected[r]->Score(docs.data(), 16, kFeatures, direct.data());
+      EXPECT_EQ(served, direct) << "rung " << r;
+    }
+  }
 }
 
 }  // namespace
