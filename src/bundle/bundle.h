@@ -25,12 +25,13 @@ inline constexpr uint32_t kFormatVersion = 1;
 
 /// The two container formats a bundle serializes to. Text (v1) is the
 /// portable, diffable interchange format; binary (v2, binary_format.h) is
-/// the section-aligned deployment format a server mmaps and loads
-/// zero-copy. Payload codecs pair with the container: a text container
-/// carries text payloads, a binary container carries the "MLP2"/"GBT2"/
-/// "ZNM2"/"RNG2" binary payloads. Conversion between the two is bitwise
-/// score-lossless (the text codecs print max_digits10, so floats round-trip
-/// exactly).
+/// the section-aligned deployment format a server mmaps and decodes with
+/// bounds-checked memcpy instead of a float parse (the decoded models are
+/// heap copies; nothing is scored from the mapping). Payload codecs pair
+/// with the container: a text container carries text payloads, a binary
+/// container carries the "MLP2"/"GBT2"/"ZNM2"/"RNG2" binary payloads.
+/// Conversion between the two is bitwise score-lossless (the text codecs
+/// print max_digits10, so floats round-trip exactly).
 enum class BundleFormat { kText, kBinary };
 
 /// Canonical position of `name` in the section order, or -1 for unknown

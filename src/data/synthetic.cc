@@ -158,7 +158,7 @@ Dataset GenerateSynthetic(const SyntheticConfig& config) {
   // Feature semantics and rule structure come from an independent stream so
   // they do not change when the query count does.
   Rng spec_rng(config.seed ^ 0xFEEDFACEDEADBEEFull);
-  const std::vector<FeatureSpec> specs = MakeFeatureSpecs(config, spec_rng);
+  std::vector<FeatureSpec> specs = MakeFeatureSpecs(config, spec_rng);
   // Rules act on informative (non-noise, non-redundant) features.
   std::vector<uint32_t> informative;
   for (uint32_t f = 0; f < config.num_features; ++f) {
@@ -168,7 +168,14 @@ Dataset GenerateSynthetic(const SyntheticConfig& config) {
       informative.push_back(f);
     }
   }
-  DNLR_CHECK(!informative.empty());
+  // A draw of only noise and redundant features (likely at a handful of
+  // features) leaves the rules nothing to act on: feature 0 becomes a
+  // direct one. No random numbers are drawn, so every stream that had an
+  // informative feature is unchanged.
+  if (informative.empty()) {
+    specs[0].kind = FeatureKind::kDirect;
+    informative.push_back(0);
+  }
   std::vector<RelevanceRule> rules = MakeRules(config, informative, spec_rng);
 
   Rng rng(config.seed);

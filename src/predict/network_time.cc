@@ -130,9 +130,4 @@ ParallelScaling MeasureGemmParallelScaling(common::ThreadPool* pool,
   return scaling;
 }
 
-double ParallelMicrosPerDoc(double serial_us_per_doc,
-                            const ParallelScaling& scaling) {
-  return serial_us_per_doc / scaling.Speedup();
-}
-
 }  // namespace dnlr::predict

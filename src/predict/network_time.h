@@ -96,11 +96,6 @@ ParallelScaling MeasureGemmParallelScaling(common::ThreadPool* pool,
                                            uint32_t m = 256, uint32_t k = 256,
                                            uint32_t n = 512, int repeats = 3);
 
-/// Serial predicted per-document time scaled by measured parallel
-/// efficiency — the rung cost a multi-threaded ServingEngine budgets with.
-double ParallelMicrosPerDoc(double serial_us_per_doc,
-                            const ParallelScaling& scaling);
-
 }  // namespace dnlr::predict
 
 #endif  // DNLR_PREDICT_NETWORK_TIME_H_

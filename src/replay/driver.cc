@@ -8,13 +8,17 @@
 #include <future>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "bundle/bundle.h"
 #include "core/timing.h"
 #include "data/synthetic.h"
+#include "forest/quickscorer.h"
 #include "gbdt/booster.h"
+#include "nn/scorer.h"
 #include "obs/metrics.h"
 #include "predict/architecture.h"
+#include "prune/magnitude.h"
 #include "serve/latency.h"
 
 namespace dnlr::replay {
@@ -38,6 +42,46 @@ Gate AtMost(const char* name, double value, double bound) {
   return {name, value, GateOp::kAtMost, bound};
 }
 double Count(uint64_t n) { return static_cast<double>(n); }
+
+/// A random {64, 32} student with layer 0 level-pruned to 98% zeros, so
+/// nn::MakeStudentScorer serves it on the hybrid sparse/dense engine.
+nn::Mlp PrunedStudent(uint32_t features, uint64_t seed) {
+  nn::Mlp student(predict::Architecture(features, {64, 32}), seed);
+  nn::WeightMasks masks = prune::MakeDenseMasks(student);
+  prune::LevelPruneLayer(&student, 0, 0.98, &masks);
+  return student;
+}
+
+/// A serving rung seen as a DocumentScorer, so a FaultInjectingScorer can
+/// wrap it. Only for rungs that never fail (Servable's adapters).
+class RungScorer final : public forest::DocumentScorer {
+ public:
+  explicit RungScorer(const serve::FallibleScorer* rung) : rung_(rung) {}
+  std::string_view name() const override { return rung_->name(); }
+  void Score(const float* docs, uint32_t count, uint32_t stride,
+             float* out) const override {
+    DNLR_CHECK(rung_->TryScore(docs, count, stride, out).ok());
+  }
+
+ private:
+  const serve::FallibleScorer* rung_;
+};
+
+/// What a fault-injected generation owns: the clean generation whose
+/// scorers it serves, the injector over its top rung, and the ladder.
+struct FaultInjectedGeneration {
+  FaultInjectedGeneration(
+      std::shared_ptr<const serve::DegradationLadder> loaded,
+      const serve::FaultInjectionConfig& faults)
+      : clean(std::move(loaded)),
+        top(clean->rung(0).scorer),
+        injector(&top, faults) {}
+
+  std::shared_ptr<const serve::DegradationLadder> clean;
+  RungScorer top;
+  serve::FaultInjectingScorer injector;
+  serve::DegradationLadder ladder;
+};
 
 }  // namespace
 
@@ -80,21 +124,9 @@ BundleFixture::BundleFixture(const ServeConfig& serve,
       dataset_(SyntheticCorpus(static_cast<uint32_t>(serve.queries),
                                features_, seed_)),
       teacher_(TrainForest(dataset_, static_cast<uint32_t>(config.trees), 16)),
-      student_(predict::Architecture(features_, {64, 32}), seed_ + 1),
-      normalizer_(FitNormalizer(dataset_)),
-      subset_scorer_(gbdt::TeacherSubset(teacher_), features_),
-      student_scorer_(student_, &normalizer_) {
+      student_(PrunedStudent(features_, seed_ + 1)),
+      normalizer_(FitNormalizer(dataset_)) {
   options_.num_features = features_;
-  const double student_cost = core::MeasureScorerMicrosPerDocSynthetic(
-      student_scorer_, 2048, features_);
-  const double subset_cost = core::MeasureScorerMicrosPerDocSynthetic(
-      subset_scorer_, 2048, features_);
-  costs_[0] = student_cost;
-  costs_[1] = serve::PredictCascadeMicrosPerDoc(
-      subset_cost, student_cost, serve::kServedCascadeRescoreFraction);
-  costs_[2] = subset_cost;
-  // The ladder (and the bundle's rung grammar) require non-increasing costs.
-  for (int i = 1; i < 3; ++i) costs_[i] = std::min(costs_[i], costs_[i - 1]);
 }
 
 Result<std::unique_ptr<BundleFixture>> BundleFixture::Create(
@@ -115,10 +147,23 @@ Result<std::unique_ptr<BundleFixture>> BundleFixture::Create(
 }
 
 Status BundleFixture::Pack() {
+  // Rung costs are measured on the engines Servable will build.
+  const double student_cost = core::MeasureScorerMicrosPerDocSynthetic(
+      *nn::MakeStudentScorer(student_, &normalizer_), 2048, features_);
+  const double subset_cost = core::MeasureScorerMicrosPerDocSynthetic(
+      *forest::MakeForestScorer(gbdt::TeacherSubset(teacher_), features_),
+      2048, features_);
+  double costs[3] = {student_cost,
+                     serve::PredictCascadeMicrosPerDoc(
+                         subset_cost, student_cost,
+                         serve::kServedCascadeRescoreFraction),
+                     subset_cost};
+  // The ladder (and the bundle's rung grammar) require non-increasing costs.
+  for (int i = 1; i < 3; ++i) costs[i] = std::min(costs[i], costs[i - 1]);
   bundle::RungConfig rungs;
-  rungs.rungs = {{"student", "student", costs_[0]},
-                 {"cascade", "cascade", costs_[1]},
-                 {"forest-subset", "teacher-subset", costs_[2]}};
+  rungs.rungs = {{"student", "student", costs[0]},
+                 {"cascade", "cascade", costs[1]},
+                 {"forest-subset", "teacher-subset", costs[2]}};
   bundle::ModelBundle pack;
   DNLR_RETURN_IF_ERROR(pack.SetTeacher(teacher_));
   DNLR_RETURN_IF_ERROR(pack.SetStudent(student_));
@@ -135,9 +180,8 @@ Status BundleFixture::Pack() {
         pack.SaveToFile(reload_path_, bundle::BundleFormat::kBinary));
   }
   if (config_.poisoned_twin) {
-    const nn::Mlp poisoned(predict::Architecture(features_, {64, 32}),
-                           seed_ + 999);
-    DNLR_RETURN_IF_ERROR(pack.SetStudent(poisoned));
+    DNLR_RETURN_IF_ERROR(
+        pack.SetStudent(PrunedStudent(features_, seed_ + 999)));
     DNLR_RETURN_IF_ERROR(pack.SaveToFile(poison_path()));
   }
   std::fprintf(stderr, "packed bundle %s%s%s\n", config_.bundle_path.c_str(),
@@ -151,6 +195,24 @@ BundleFixture::LoadLadder(const std::string& path) const {
   auto servable = serve::Servable::LoadFromFile(path, options_);
   if (!servable.ok()) return servable.status();
   return serve::Servable::LadderHandle(std::move(servable).value());
+}
+
+Result<std::shared_ptr<const serve::DegradationLadder>>
+BundleFixture::FaultInjectedLadder(
+    const serve::FaultInjectionConfig& faults) const {
+  auto clean = LoadLadder(config_.bundle_path);
+  if (!clean.ok()) return clean.status();
+  auto generation = std::make_shared<FaultInjectedGeneration>(
+      std::move(clean).value(), faults);
+  for (size_t i = 0; i < generation->clean->num_rungs(); ++i) {
+    const serve::Rung& rung = generation->clean->rung(i);
+    DNLR_RETURN_IF_ERROR(generation->ladder.AddRung(
+        rung.name, i == 0 ? &generation->injector : rung.scorer,
+        rung.predicted_us_per_doc));
+  }
+  const serve::DegradationLadder* ladder = &generation->ladder;
+  return std::shared_ptr<const serve::DegradationLadder>(std::move(generation),
+                                                         ladder);
 }
 
 Status BundleFixture::SwapGated(

@@ -18,12 +18,11 @@
 #include "common/status.h"
 #include "data/dataset.h"
 #include "data/normalize.h"
-#include "forest/quickscorer.h"
 #include "gbdt/ensemble.h"
 #include "nn/mlp.h"
-#include "nn/scorer.h"
 #include "replay/workload.h"
 #include "serve/engine.h"
+#include "serve/fault_injection.h"
 #include "serve/servable.h"
 
 namespace dnlr::replay {
@@ -62,13 +61,13 @@ struct FixtureConfig {
   bool poisoned_twin = false;
 };
 
-/// The bundle the reload and soak modes serve and hot-swap: a LambdaMART
-/// teacher and a random {64, 32} student over a synthetic corpus, with
-/// measured rung costs (student / cascade / teacher-subset, clamped
-/// non-increasing), packed to disk and loaded as the first generation. The
-/// golden scores of that generation on query 0 gate every later swap:
-/// a candidate must reproduce them bitwise. Not movable: the scorers
-/// borrow the models.
+/// The bundle every single-engine serve mode serves and hot-swaps: a
+/// LambdaMART teacher and a random {64, 32} student whose layer 0 is
+/// magnitude-pruned to 98% zeros (so it serves on the hybrid sparse/dense
+/// engine) over a synthetic corpus, with measured rung costs (student /
+/// cascade / teacher-subset, clamped non-increasing), packed to disk and
+/// loaded as the first generation. The golden scores of that generation on
+/// query 0 gate every later swap: a candidate must reproduce them bitwise.
 class BundleFixture {
  public:
   static Result<std::unique_ptr<BundleFixture>> Create(
@@ -88,17 +87,19 @@ class BundleFixture {
   /// A fresh, ungated generation loaded from `path`.
   Result<std::shared_ptr<const serve::DegradationLadder>> LoadLadder(
       const std::string& path) const;
+  /// A fresh generation of the bundle whose top rung draws faults from
+  /// `faults`: the bundle's rung names and costs, rung 0 wrapped in a
+  /// serve::FaultInjectingScorer, the other rungs as loaded. The handle
+  /// owns everything it scores with. It could never pass the golden gate,
+  /// so it is installed with an ungated SwapModel or a new engine.
+  Result<std::shared_ptr<const serve::DegradationLadder>> FaultInjectedLadder(
+      const serve::FaultInjectionConfig& faults) const;
   /// LoadLadder(path), then SwapModel through the golden gate.
   Status Reload(serve::ServingEngine& engine, const std::string& path) const;
   /// Offers the poisoned twin to `engine`: true only when it loaded and the
   /// swap refused it. A twin that cannot be loaded never reached the golden
   /// gate, so it proves nothing and does not count as rejected.
   bool PoisonRejected(serve::ServingEngine& engine) const;
-
-  /// In-memory rung ingredients, for ladders built outside the bundle.
-  const nn::NeuralScorer& student_scorer() const { return student_scorer_; }
-  const forest::QuickScorer& subset_scorer() const { return subset_scorer_; }
-  double rung_cost(size_t rung) const { return costs_[rung]; }
 
  private:
   BundleFixture(const ServeConfig& serve, const FixtureConfig& config);
@@ -115,9 +116,6 @@ class BundleFixture {
   gbdt::Ensemble teacher_;
   nn::Mlp student_;
   data::ZNormalizer normalizer_;
-  forest::QuickScorer subset_scorer_;
-  nn::NeuralScorer student_scorer_;
-  double costs_[3] = {0.0, 0.0, 0.0};
   std::string reload_path_;
   std::shared_ptr<const serve::DegradationLadder> initial_;
   std::vector<std::vector<float>> golden_;

@@ -24,14 +24,6 @@ Status DegradationLadder::AddRung(std::string name,
   return Status::Ok();
 }
 
-Status DegradationLadder::AddRung(std::string name,
-                                  const FallibleScorer* scorer,
-                                  double serial_us_per_doc,
-                                  const predict::ParallelScaling& scaling) {
-  return AddRung(std::move(name), scorer,
-                 predict::ParallelMicrosPerDoc(serial_us_per_doc, scaling));
-}
-
 int DegradationLadder::PickRung(
     double budget_micros, uint32_t count, double safety_factor,
     const std::function<bool(size_t)>& available) const {

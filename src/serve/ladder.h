@@ -12,12 +12,11 @@
 
 namespace dnlr::serve {
 
-/// One rung of the degradation ladder: a scorer plus the analytic cost the
-/// engine budgets with. Costs come from the predict:: scoring-time models
-/// for neural rungs and from measurement for tree rungs, so rung selection
-/// is the online counterpart of the paper's design-by-prediction methodology
-/// (Section 6.1): pick the strongest model whose predicted time fits the
-/// budget.
+/// One rung of the degradation ladder: a scorer plus the per-document cost
+/// the engine budgets with (a bundle's rung cost, measured or predicted
+/// offline). Rung selection is the online counterpart of the paper's
+/// design-by-prediction methodology (Section 6.1): pick the strongest model
+/// whose predicted time fits the budget.
 struct Rung {
   std::string name;
   const FallibleScorer* scorer = nullptr;
@@ -25,8 +24,8 @@ struct Rung {
 };
 
 /// An ordered list of scoring configurations, strongest (most expensive,
-/// highest quality) first — e.g. hybrid sparse NN, dense NN, early-exit
-/// cascade, first-stage-only tree subset. The engine walks down the ladder
+/// highest quality) first — e.g. the distilled student, an early-exit
+/// cascade, a first-stage-only tree subset. The engine walks down the ladder
 /// when budget runs short or a rung faults; the last rung is the
 /// always-answer floor.
 class DegradationLadder {
@@ -37,16 +36,6 @@ class DegradationLadder {
   /// negative costs. Scorers are not owned and must outlive the ladder.
   Status AddRung(std::string name, const FallibleScorer* scorer,
                  double predicted_us_per_doc);
-
-  /// Appends a rung whose scorer runs with intra-request parallelism:
-  /// `serial_us_per_doc` is the single-thread analytic prediction and
-  /// `scaling` is the machine's measured parallel efficiency
-  /// (predict::MeasureGemmParallelScaling), so the budgeted cost is
-  /// serial / (1 + e * (T - 1)) — never the naive serial / T, which would
-  /// make the engine promise deadlines the hardware cannot keep.
-  Status AddRung(std::string name, const FallibleScorer* scorer,
-                 double serial_us_per_doc,
-                 const predict::ParallelScaling& scaling);
 
   size_t num_rungs() const { return rungs_.size(); }
   const Rung& rung(size_t i) const { return rungs_[i]; }

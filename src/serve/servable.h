@@ -73,9 +73,13 @@ class Servable {
   static Result<std::unique_ptr<Servable>> FromBundle(
       const bundle::MappedBundle& bundle, const ServableOptions& options = {});
 
-  /// bundle::MappedBundle::Map followed by FromBundle. A binary bundle is
-  /// mmapped (zero-copy); a text bundle has every payload CRC checked at
-  /// open.
+  /// bundle::MappedBundle::Map followed by FromBundle. The file is mapped
+  /// (read into the heap where mmap fails) only for the load: each model is
+  /// decoded out of it into a heap object (a memcpy per array from a binary
+  /// bundle, a float parse from a text one), and the scorers then build
+  /// their own layouts from those (NeuralScorer packs a second copy of the
+  /// weights). A text bundle has every payload CRC checked at open; a
+  /// binary one only its layout.
   static Result<std::unique_ptr<Servable>> LoadFromFile(
       const std::string& path, const ServableOptions& options = {});
 

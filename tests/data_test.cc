@@ -4,6 +4,7 @@
 #include <fstream>
 #include <set>
 
+#include "common/hash.h"
 #include "data/dataset.h"
 #include "data/letor_io.h"
 #include "data/normalize.h"
@@ -268,6 +269,42 @@ TEST(SyntheticTest, DocCountsWithinBounds) {
 TEST(SyntheticTest, MsnAndIstellaShapes) {
   EXPECT_EQ(SyntheticConfig::MsnLike().num_features, 136u);
   EXPECT_EQ(SyntheticConfig::IstellaLike().num_features, 220u);
+}
+
+/// Hash64 of a split's feature bytes, then of its label bytes seeded with
+/// that.
+uint64_t SplitDigest(const Dataset& split) {
+  const std::vector<float>& features = split.features();
+  const std::vector<float>& labels = split.labels();
+  const uint64_t feature_digest = common::Hash64(
+      features.data(), features.size() * sizeof(float), /*seed=*/0);
+  return common::Hash64(labels.data(), labels.size() * sizeof(float),
+                        feature_digest);
+}
+
+// Golden digests of the generator's output. Every benchmark, cached model
+// and EXPERIMENTS.md number is a function of these streams, so a change to
+// Rng or GenerateSynthetic that moves them must update these digests (and
+// the model cache) in the same change. synthetic.cc is built with
+// -ffp-contract=off, so the digests hold for every preset.
+TEST(SyntheticTest, SplitsMatchTheirGoldenDigests) {
+  const struct {
+    const char* name;
+    SyntheticConfig config;
+    uint64_t train, valid, test;
+  } kCases[] = {
+      {"msn", SyntheticConfig::MsnLike(0.02), 0xf6d3502521d5a690ull,
+       0x423a8bc551dc760eull, 0x87a6dbeb85565a99ull},
+      {"istella", SyntheticConfig::IstellaLike(0.02), 0xc519ab1e3e1011dbull,
+       0x15384c44f59c1f1aull, 0xecb2960b700b83f0ull},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.name);
+    const DatasetSplits splits = GenerateSyntheticSplits(c.config);
+    EXPECT_EQ(SplitDigest(splits.train), c.train);
+    EXPECT_EQ(SplitDigest(splits.valid), c.valid);
+    EXPECT_EQ(SplitDigest(splits.test), c.test);
+  }
 }
 
 TEST(SyntheticTest, FeaturesCarryRelevanceSignal) {

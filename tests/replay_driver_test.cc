@@ -4,17 +4,19 @@
 // soak rule that a rung under kMinGatedRungSamples is reported but not
 // gated, the gate evaluator and the JSON-validating report writer, the
 // response summary, the request loop over both arrival sources, and the
-// bundle fixture's golden swap gate, which an unloadable poison never
-// reaches.
+// bundle fixture: its golden swap gate (which an unloadable poison never
+// reaches), its hybrid-engine top rung and its fault-injected generation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "obs/metrics.h"
 #include "replay/driver.h"
 #include "serve/engine.h"
+#include "serve/fault_injection.h"
 #include "serve/ladder.h"
 #include "serve/scorer.h"
 
@@ -440,6 +443,70 @@ TEST(BundleFixtureTest, AnUnloadablePoisonIsNotRejectedAndFailsTheSoakGate) {
   EXPECT_FALSE(GateValue(EvaluateGates(SoakGates(o)), "poison_rejected"));
   engine.Stop();
   std::filesystem::remove_all(dir);
+}
+
+/// A small fixture bundled under a fresh temporary directory `name`.
+std::unique_ptr<BundleFixture> SmallFixture(const std::string& name) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / name;
+  std::filesystem::remove_all(dir);
+  ServeConfig config;
+  config.queries = 4;
+  config.features = 8;
+  FixtureConfig fc;
+  fc.trees = 2;
+  fc.bundle_path = (dir / "model.bundle").string();
+  auto fixture = BundleFixture::Create(config, fc);
+  EXPECT_TRUE(fixture.ok()) << fixture.status().ToString();
+  return fixture.ok() ? std::move(fixture).value() : nullptr;
+}
+
+TEST(BundleFixtureTest, TopRungServesThePrunedStudentOnTheHybridEngine) {
+  const auto fixture = SmallFixture("replay_driver_test_hybrid");
+  ASSERT_NE(fixture, nullptr);
+  const serve::DegradationLadder& ladder = *fixture->initial_ladder();
+  ASSERT_EQ(ladder.num_rungs(), 3u);
+  EXPECT_EQ(ladder.rung(0).scorer->name(), "neural-hybrid-sparse");
+  std::filesystem::remove_all(
+      std::filesystem::path(fixture->bundle_path()).parent_path());
+}
+
+TEST(BundleFixtureTest, FaultInjectedGenerationFaultsOnlyItsTopRung) {
+  const auto fixture = SmallFixture("replay_driver_test_faults");
+  ASSERT_NE(fixture, nullptr);
+  serve::FaultInjectionConfig faults;
+  faults.transient_fault_probability = 1.0;
+  auto faulty = fixture->FaultInjectedLadder(faults);
+  ASSERT_TRUE(faulty.ok()) << faulty.status().ToString();
+  const serve::DegradationLadder& clean = *fixture->initial_ladder();
+  const serve::DegradationLadder& ladder = **faulty;
+  ASSERT_EQ(ladder.num_rungs(), clean.num_rungs());
+
+  const data::Dataset& data = fixture->dataset();
+  const float* docs = data.Row(data.QueryBegin(0));
+  const uint32_t count = data.QuerySize(0);
+  const uint32_t stride = data.num_features();
+  std::vector<float> want(count);
+  std::vector<float> got(count);
+  for (size_t r = 0; r < ladder.num_rungs(); ++r) {
+    SCOPED_TRACE(r);
+    EXPECT_EQ(ladder.rung(r).name, clean.rung(r).name);
+    EXPECT_EQ(ladder.rung(r).predicted_us_per_doc,
+              clean.rung(r).predicted_us_per_doc);
+    const Status status =
+        ladder.rung(r).scorer->TryScore(docs, count, stride, got.data());
+    if (r == 0) {
+      EXPECT_FALSE(status.ok());
+      continue;
+    }
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    ASSERT_TRUE(
+        clean.rung(r).scorer->TryScore(docs, count, stride, want.data()).ok());
+    // Bitwise: the same bytes, not merely close floats.
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), count * sizeof(float)), 0);
+  }
+  std::filesystem::remove_all(
+      std::filesystem::path(fixture->bundle_path()).parent_path());
 }
 
 }  // namespace

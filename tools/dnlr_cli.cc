@@ -43,7 +43,6 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "core/cascade.h"
 #include "core/pipeline.h"
 #include "core/timing.h"
 #include "forest/parallel_scorer.h"
@@ -213,8 +212,10 @@ int CmdGen(const Args& args) {
       args.Get("style", "msn") == "istella"
           ? data::SyntheticConfig::IstellaLike(1.0)
           : data::SyntheticConfig::MsnLike(1.0);
-  config.num_queries = args.GetInt("queries", 300);
-  if (args.Has("features")) config.num_features = args.GetInt("features", 136);
+  config.num_queries = args.GetCount("queries", 300);
+  if (args.Has("features")) {
+    config.num_features = args.GetCount("features", 136);
+  }
   config.seed = args.GetInt("seed", 42);
   const std::string out = args.Require("out");
   args.RejectUnread();
@@ -951,21 +952,11 @@ int CmdSoakBench(const Args& args) {
   sc.score_cache = &cache;
   serve::ServingEngine engine(fixture.initial_ladder(), sc);
 
-  // The fault episode's ladder: the bundle's rung count and costs, top rung
-  // wrapped in an injector. Installed WITHOUT the gate (it could never
-  // pass), rolled back through it.
-  serve::FaultInjectingScorer faulty_top(&fixture.student_scorer(),
-                                         fault_config);
-  serve::InfallibleScorerAdapter clean_mid(&fixture.student_scorer());
-  serve::InfallibleScorerAdapter clean_floor(&fixture.subset_scorer());
-  auto faulty_ladder = std::make_shared<serve::DegradationLadder>();
-  const Status top_rung = faulty_ladder->AddRung(
-      "student-faulty", &faulty_top, fixture.rung_cost(0));
-  const Status mid_rung = faulty_ladder->AddRung(
-      "student-clean", &clean_mid, fixture.rung_cost(1));
-  const Status floor_rung = faulty_ladder->AddRung(
-      "forest-subset", &clean_floor, fixture.rung_cost(2));
-  DNLR_CHECK(top_rung.ok() && mid_rung.ok() && floor_rung.ok());
+  // The fault episode's generation: the bundle's rungs, top rung
+  // fault-injected. Installed WITHOUT the gate (it could never pass),
+  // rolled back through it.
+  auto faulty = fixture.FaultInjectedLadder(fault_config);
+  if (!faulty.ok()) return Fail(faulty.status());
 
   // ---- Phase A: the replay soak. The driver paces arrivals from the
   // workload model; the orchestrator reloads / poisons / faults
@@ -994,7 +985,7 @@ int CmdSoakBench(const Args& args) {
       const uint64_t now = engine.clock().NowMicros();
       if (fault == kPending && now >= fault_start && now < fault_end) {
         std::fprintf(stderr, "fault episode: injecting faulty ladder\n");
-        fault = engine.SwapModel(faulty_ladder, nullptr).ok() ? kActive : kDone;
+        fault = engine.SwapModel(*faulty, nullptr).ok() ? kActive : kDone;
         if (fault == kDone) ++outcome.fault_swap_failures;
       } else if (fault == kActive && now >= fault_end) {
         std::fprintf(stderr, "fault episode: rolling back (golden-gated)\n");
@@ -1181,152 +1172,60 @@ int CmdSoakBench(const Args& args) {
   return replay::FinishGatedReport(out, json.str(), verdict, "soak SLO");
 }
 
-/// Load-tests the deadline-aware serving engine over a synthetic corpus and
-/// a four-rung degradation ladder (hybrid sparse NN > dense NN > cascade >
-/// tree subset), with optional fault injection on the top rung, and writes a
-/// latency-percentile + rung-distribution JSON report. With --reload-every N
-/// it instead runs the bundle hot-reload load test (see CmdServeBenchReload);
-/// with --shards N >= 2 it runs the sharded multi-tenant isolation soak
-/// (see CmdServeBenchSharded).
+/// Load-tests the deadline-aware serving engine on the fixture bundle
+/// (student on the hybrid engine > cascade > teacher subset, measured rung
+/// costs) with faults injected into the top rung, and writes a
+/// latency-percentile + rung-distribution JSON report. With --reload-every
+/// N it instead runs the bundle hot-reload load test (see
+/// CmdServeBenchReload); with --shards N >= 2 it runs the sharded
+/// multi-tenant isolation soak (see CmdServeBenchSharded).
 int CmdServeBench(const Args& args) {
   if (args.GetInt("shards", 0) >= 2) return CmdServeBenchSharded(args);
   if (args.GetInt("reload-every", 0) > 0) return CmdServeBenchReload(args);
   const replay::ServeConfig config = ParseServeConfig(
       args, {.queries = 80, .features = 136, .deadline_us = 6000});
   const int requests = args.GetCount("requests", 300);
-  const auto features = static_cast<uint32_t>(config.features);
-  const uint64_t seed = config.seed;
-  const auto threads = static_cast<uint32_t>(args.GetInt("threads", 1));
-  const auto num_trees = static_cast<uint32_t>(args.GetCount("trees", 40));
   serve::FaultInjectionConfig fic;
   fic.transient_fault_probability = args.GetDouble("fault-rate", 0.2);
   fic.latency_spike_probability = args.GetDouble("spike-rate", 0.1);
   fic.spike_micros = static_cast<uint64_t>(args.GetInt("spike-us", 2000));
   fic.non_finite_probability = args.GetDouble("nan-rate", 0.05);
-  fic.seed = seed;
+  fic.seed = config.seed;
   const std::string out = args.Get("out", "out/serve_latency.json");
+  // The bundle lands beside the report.
+  const replay::FixtureConfig fc{
+      .trees = args.GetCount("trees", 40),
+      .bundle_path =
+          std::filesystem::path(out).replace_extension(".bundle").string()};
   const bool obs_spans = args.GetInt("obs", 0) != 0;
   const std::string obs_out = args.Get("obs-out", "out/obs_stats.json");
   args.RejectUnread();
-
-  // Synthetic corpus standing in for the ranking candidate sets.
-  const data::Dataset dataset = replay::SyntheticCorpus(
-      static_cast<uint32_t>(config.queries), features, seed);
-
-  // Forest rungs: a small LambdaMART ensemble plus a first-stage-only
-  // subset of its trees (the cheapest thing that still ranks).
-  const gbdt::Ensemble subset =
-      gbdt::TeacherSubset(replay::TrainForest(dataset, num_trees, 32));
-  forest::QuickScorer subset_qs(subset, features);
-
-  // Neural rungs with random weights: serving cost, not ranking quality, is
-  // what this bench measures, so training would only slow it down.
-  const predict::Architecture big_arch(features, {400, 200, 100});
-  nn::Mlp big(big_arch, seed);
-  nn::WeightMasks masks = prune::MakeDenseMasks(big);
-  prune::LevelPruneLayer(&big, 0, 0.98, &masks);
-  const predict::Architecture small_arch(features, {64, 32});
-  const nn::Mlp small(small_arch, seed + 1);
-  data::ZNormalizer normalizer;
-  normalizer.Fit(dataset);
-
-  // Intra-request parallelism: every rung shares one pool. Neural rungs
-  // chunk whole batches across it (bitwise-identical scores); tree rungs
-  // wrap in ParallelEnsembleScorer. `--threads 1` keeps the serial paths.
-  common::ThreadPool pool(std::max(1u, threads));
-  common::ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
-
-  // Budgeted rung costs scale by the machine's MEASURED parallel
-  // efficiency, never the naive serial / T; with --threads 1 the scaling
-  // struct is the identity. Measured before scorer construction so a
-  // machine where threading never pays (crossover == UINT64_MAX, e.g. a
-  // single hardware thread) pins every rung to its serial path instead of
-  // taxing it.
-  predict::ParallelScaling scaling;
-  if (threads > 1) {
-    scaling = predict::MeasureGemmParallelScaling(pool_ptr);
-    std::fprintf(stderr, "parallel scaling: T=%u efficiency %.2f -> %.2fx\n",
-                 scaling.num_threads, scaling.efficiency, scaling.Speedup());
+  auto created = replay::BundleFixture::Create(config, fc);
+  if (!created.ok()) return Fail(created.status());
+  const replay::BundleFixture& fixture = **created;
+  auto faulty = fixture.FaultInjectedLadder(fic);
+  if (!faulty.ok()) return Fail(faulty.status());
+  const serve::DegradationLadder& ladder = **faulty;
+  for (size_t i = 0; i < ladder.num_rungs(); ++i) {
+    std::fprintf(stderr, "rung %zu %-14s %8.3f us/doc (%s)\n", i,
+                 ladder.rung(i).name.c_str(),
+                 ladder.rung(i).predicted_us_per_doc,
+                 std::string(ladder.rung(i).scorer->name()).c_str());
   }
-  const bool parallel_never_wins = scaling.crossover_flops == UINT64_MAX;
-
-  nn::NeuralScorerConfig nn_config;
-  nn_config.pool = pool_ptr;
-  if (parallel_never_wins) nn_config.min_parallel_docs = UINT32_MAX;
-  nn::HybridNeuralScorer hybrid(big, &normalizer, nn_config);
-  nn::NeuralScorer dense_small(small, &normalizer, nn_config);
-  core::CascadeScorer cascade(&subset_qs, &dense_small,
-                              serve::kServedCascadeRescoreFraction);
-  const uint32_t tree_crossover = parallel_never_wins ? UINT32_MAX : 0;
-  forest::ParallelEnsembleScorer par_cascade(&cascade, pool_ptr, 64,
-                                             tree_crossover);
-  forest::ParallelEnsembleScorer par_subset(&subset_qs, pool_ptr, 64,
-                                            tree_crossover);
-
-  // Rung costs via the paper's analytic predictors (neural rungs) and
-  // direct measurement (tree rungs) — the same numbers the engine budgets
-  // with online.
-  std::fprintf(stderr, "calibrating scoring-time predictors (seconds)...\n");
-  predict::DenseCalibrationConfig dcal;
-  dcal.m_values = {32, 64, 128, 256, 400};
-  dcal.k_values = {32, 64, features, 256, 400};
-  dcal.n_values = {16, 64};
-  dcal.repeats = 2;
-  const auto dense_pred = predict::DenseTimePredictor::Calibrate(dcal);
-  const auto sparse_pred = predict::SparseTimePredictor::Calibrate();
-  const double subset_cost =
-      core::MeasureScorerMicrosPerDocSynthetic(subset_qs, 2048, features);
-  const double small_cost = serve::PredictNeuralRungMicrosPerDoc(
-      small_arch, 64, 0.0, dense_pred, sparse_pred);
-  const double raw_costs[4] = {
-      serve::PredictNeuralRungMicrosPerDoc(
-          big_arch, 64, hybrid.first_layer_sparsity(), dense_pred,
-          sparse_pred),
-      small_cost,
-      serve::PredictCascadeMicrosPerDoc(subset_cost, small_cost,
-                                        serve::kServedCascadeRescoreFraction),
-      subset_cost};
-  // The ladder requires non-increasing costs; predictions on a given
-  // machine may cross, so clamp (the JSON reports the raw predictions).
-  double costs[4];
-  for (int i = 0; i < 4; ++i) {
-    costs[i] = i == 0 ? raw_costs[0] : std::min(raw_costs[i], costs[i - 1]);
-  }
-
-  serve::FaultInjectingScorer faulty_hybrid(&hybrid, fic);
-  serve::InfallibleScorerAdapter dense_adapter(&dense_small);
-  serve::InfallibleScorerAdapter cascade_adapter(&par_cascade);
-  serve::InfallibleScorerAdapter subset_adapter(&par_subset);
-
-  serve::DegradationLadder ladder;
-  const serve::FallibleScorer* rung_scorers[4] = {
-      &faulty_hybrid, &dense_adapter, &cascade_adapter, &subset_adapter};
-  const char* rung_names[4] = {"hybrid-nn", "dense-nn", "cascade",
-                               "forest-subset"};
-  for (int i = 0; i < 4; ++i) {
-    const Status status = ladder.AddRung(rung_names[i], rung_scorers[i],
-                                         costs[i], scaling);
-    if (!status.ok()) return Fail(status);
-    std::fprintf(stderr, "rung %d %-14s %8.3f us/doc (serial %.3f, raw %.3f)\n",
-                 i, rung_names[i],
-                 ladder.rung(static_cast<size_t>(i)).predicted_us_per_doc,
-                 costs[i], raw_costs[i]);
-  }
-
-  const serve::ServingConfig sc = config.Engine();
-  serve::ServingEngine engine(&ladder, sc);
+  serve::ServingEngine engine(*faulty, config.Engine());
 
   // With --obs 1 the scoring hot-path spans (mm / nn / forest) record too,
   // breaking request latency down by stage; the engine-level histograms
   // (rung totals, queue wait, backoff) always record.
   obs::MetricsRegistry::Global().SetEnabled(obs_spans);
 
-  std::fprintf(stderr, "serving %d requests (deadline %llu us)...\n",
-               requests, static_cast<unsigned long long>(config.deadline_us));
+  std::fprintf(stderr, "serving %d requests (deadline %d us)...\n", requests,
+               config.deadline_us);
+  const data::Dataset& dataset = fixture.dataset();
   replay::RoundRobinSource source(dataset, static_cast<uint64_t>(requests));
   const replay::ResponseSummary summary = replay::SummarizeResponses(
-      replay::DriveTraffic(engine, source, config),
-      ladder.num_rungs(), config.deadline_us);
+      replay::DriveTraffic(engine, source, config), ladder.num_rungs(),
+      config.deadline_us);
   engine.Stop();
   obs::MetricsRegistry::Global().SetEnabled(false);
 
@@ -1335,14 +1234,14 @@ int CmdServeBench(const Args& args) {
   json << "{\n  \"benchmark\": \"serve-bench\",\n";
   json << "  \"config\": {\"requests\": " << requests
        << ", \"deadline_us\": " << config.deadline_us
-       << ", \"workers\": " << config.workers << ", \"threads\": " << threads
-       << ", \"parallel_efficiency\": " << FormatFixed(scaling.efficiency, 3)
-       << ", \"queue_capacity\": " << sc.queue_capacity
+       << ", \"workers\": " << config.workers
+       << ", \"queue_capacity\": " << config.queue_capacity
        << ", \"fault_rate\": " << fic.transient_fault_probability
        << ", \"spike_rate\": " << fic.latency_spike_probability
        << ", \"spike_us\": " << fic.spike_micros
        << ", \"nan_rate\": " << fic.non_finite_probability
-       << ", \"seed\": " << seed << "},\n";
+       << ", \"seed\": " << config.seed << ", \"bundle\": \""
+       << fixture.bundle_path() << "\"},\n";
   // Mean batch size of the round-robined corpus: the request count the
   // predictor drift comparison is evaluated at.
   const uint32_t mean_docs = std::max(
@@ -1352,16 +1251,16 @@ int CmdServeBench(const Args& args) {
     // Per-rung latency comes from the engine's bounded log2 histograms,
     // which also feed the predictor drift gauges; percentile estimates are
     // within 2x of exact.
+    const serve::Rung& rung = ladder.rung(i);
     const obs::Histogram& rung_hist = engine.rung_latency(i);
     const predict::DriftSample drift = predict::RecordPredictorDrift(
-        rung_names[i],
+        rung.name,
         ladder.PredictedBatchMicros(i, mean_docs, /*safety_factor=*/1.0),
         rung_hist);
-    json << "    {\"index\": " << i << ", \"name\": \"" << rung_names[i]
+    json << "    {\"index\": " << i << ", \"name\": \"" << rung.name
+         << "\", \"engine\": \"" << rung.scorer->name()
          << "\", \"predicted_us_per_doc\": "
-         << FormatFixed(ladder.rung(i).predicted_us_per_doc, 3)
-         << ", \"serial_us_per_doc\": " << FormatFixed(costs[i], 3)
-         << ", \"raw_predicted_us_per_doc\": " << FormatFixed(raw_costs[i], 3)
+         << FormatFixed(rung.predicted_us_per_doc, 3)
          << ", \"served\": " << counters.served_by_rung[i]
          << ", \"p50_us\": "
          << FormatFixed(rung_hist.ApproxPercentileMicros(50), 1)
@@ -2272,7 +2171,7 @@ int Usage() {
       "  serve flags   [--queries N] [--features K] [--workers W] "
       "[--deadline-us U] [--queue Q] [--seed S] [--out F]: every serve-bench"
       " mode and soak-bench\n"
-      "  serve-bench   [--requests N] [--trees N] [--threads T] "
+      "  serve-bench   [--requests N] [--trees N] "
       "[--fault-rate P] [--spike-rate P] [--spike-us U] [--nan-rate P] "
       "[--obs 1] [--obs-out F]\n"
       "  serve-bench   --reload-every N [--requests N] [--trees N] "
