@@ -35,15 +35,14 @@ DNLR_TEST_ARGS="-L threaded" scripts/check.sh tsan
 
 # Threading-regression gates: the scaling bench runs both workload configs
 # with the release binary and fails the run (exit 1) if either gate trips.
-#   small — tiny per-call batches near the parallel crossover. T=2 must stay
-#           within 5% of T=1 (ratio >= 0.95): threading may never tax small
-#           batches, on any machine.
-#   large — the throughput workload (60 queries, 256x128x64 dense rung).
+#   small — tiny per-call batches near the parallel threshold. T=2 must
+#           stay within 5% of T=1 (ratio >= 0.95): threading may never tax
+#           small batches, on any machine.
+#   large — the throughput workload (60 queries, 256x128x64 dense engine).
 #           With >= 2 hardware threads T=2 must reach >= 1.5x T=1; on a
 #           single-core runner no speedup is physically available, so the
-#           gate degrades to the same 0.95 no-regression bound (the measured
-#           crossover pins every engine serial there, making T=2 == T=1 up
-#           to noise).
+#           gate degrades to the same 0.95 no-regression bound (the bench
+#           scores without the pool there, making T=2 == T=1 up to noise).
 echo "==== [bench-scaling] small + large workload gates (T=1,2)"
 cores="$(nproc 2>/dev/null || echo 1)"
 if [ "${cores}" -ge 2 ]; then

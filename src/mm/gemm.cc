@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/aligned.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/trace.h"
 
@@ -154,18 +153,18 @@ void MicroKernelSimd(uint32_t kb, const float* a_panel, const float* b_panel,
 }
 #endif
 
-/// Per-OS-thread packing scratch, reused across (jc, pc) iterations,
-/// ParallelFor calls, and whole GEMM calls: the pool's chunk bodies run on
-/// a fixed set of worker threads (plus the caller), so thread-local storage
-/// gives every executing thread one persistent PackA block, micro-tile and
-/// packed-B panel without any per-call allocation or locking. Contents are
-/// never read before being written (PackA/PackB fully write every region
-/// the kernels later read, and the tile is fully stored by both kernels),
-/// so reuse cannot change results.
+/// Per-OS-thread packing scratch, reused across (jc, pc) iterations and
+/// whole GEMM calls: nn::NeuralScorer's pool workers run GemmLayer
+/// concurrently, so thread-local storage gives every executing thread one
+/// persistent PackA block, micro-tile and packed-B panel without any
+/// per-call allocation or locking. Contents are never read before being
+/// written (PackA/PackB fully write every region the kernels later read,
+/// and the tile is fully stored by both kernels), so reuse cannot change
+/// results.
 struct GemmScratch {
   AlignedBuffer packed_a;  // raw-A path only; prepacked A needs no scratch
   AlignedBuffer tile;
-  AlignedBuffer packed_b;  // raw-A path, caller thread only (shared panel)
+  AlignedBuffer packed_b;  // raw-A path only
 };
 
 GemmScratch& LocalGemmScratch() {
@@ -204,8 +203,8 @@ struct BPanels {
 /// Runs the macro-kernel for one MC-row block of A: streams the micro-panels
 /// of the already-packed A block `packed_a` against the B panels and hands
 /// every finished register tile to `store_tile(pc, kb, row0, rows, col0,
-/// cols, tile)`, which owns the epilogue. This is the unit of work the
-/// parallel path distributes; `tile` is scratch owned by one chunk.
+/// cols, tile)`, which owns the epilogue. `tile` is the executing thread's
+/// scratch.
 template <typename StoreTileFn>
 void RunMacroBlock(const float* packed_a, const GemmParams& params,
                    bool use_simd, uint32_t ic, uint32_t mb, uint32_t jc,
@@ -241,14 +240,14 @@ void RunMacroBlock(const float* packed_a, const GemmParams& params,
 
 /// The Goto loop nest shared by every GEMM entry point. `a_block(ic, mb,
 /// pc, kb, scratch)` returns the packed MC x KC block of the m x k A at
-/// (ic, pc): the raw-A path packs it into the executing thread's scratch,
-/// the prepacked path points into the stored panels. `b_block(jc, nb, pc,
-/// kb)` returns the packed B panels of that (jc, pc) iteration, on the
-/// calling thread. `store_tile` is the epilogue (see RunMacroBlock).
+/// (ic, pc): the raw-A path packs it into the thread's scratch, the
+/// prepacked path points into the stored panels. `b_block(jc, nb, pc, kb)`
+/// returns the packed B panels of that (jc, pc) iteration. `store_tile` is
+/// the epilogue (see RunMacroBlock).
 template <typename ABlockFn, typename BBlockFn, typename StoreTileFn>
 void GemmLoop(uint32_t m, uint32_t k, uint32_t n, const GemmParams& params,
-              common::ThreadPool* pool, const ABlockFn& a_block,
-              const BBlockFn& b_block, const StoreTileFn& store_tile) {
+              const ABlockFn& a_block, const BBlockFn& b_block,
+              const StoreTileFn& store_tile) {
   const uint32_t mr = params.mr;
   const uint32_t nr = params.nr;
 
@@ -262,46 +261,20 @@ void GemmLoop(uint32_t m, uint32_t k, uint32_t n, const GemmParams& params,
   const bool use_simd = false;
 #endif
 
-  const uint32_t num_ic_blocks = (m + params.mc - 1) / params.mc;
-  // Work-size crossover: below min_parallel_flops the coordination cost of
-  // even a spin-joined ParallelFor exceeds what a second core wins back, so
-  // small multiplications take the serial fast path unconditionally.
-  const uint64_t flops = 2ull * m * n * k;
-  const bool parallel = pool != nullptr && pool->num_threads() > 1 &&
-                        num_ic_blocks > 1 &&
-                        (params.min_parallel_flops == 0 ||
-                         flops >= params.min_parallel_flops);
-
-  // Every executing thread owns a thread-local micro-tile (and, on the
-  // raw-A path, PackA block) reused across jc/pc iterations, ParallelFor
-  // calls, and GEMM calls — no per-call allocation. The B panels are shared
-  // read-only: b_block runs only between ParallelFor barriers.
-  const size_t tile_floats = static_cast<size_t>(mr) * nr;
+  // The thread-local micro-tile (and, on the raw-A path, PackA block) is
+  // reused across jc/pc iterations and GEMM calls: no per-call allocation.
+  GemmScratch& scratch = LocalGemmScratch();
+  scratch.tile.GrowTo(static_cast<size_t>(mr) * nr);
   for (uint32_t jc = 0; jc < n; jc += params.nc) {
     const uint32_t nb = std::min(params.nc, n - jc);
     for (uint32_t pc = 0; pc < k; pc += params.kc) {
       const uint32_t kb = std::min(params.kc, k - pc);
       const BPanels b = b_block(jc, nb, pc, kb);
-      const auto run_blocks = [&](uint32_t /*chunk*/, uint64_t block_begin,
-                                  uint64_t block_end) {
-        GemmScratch& scratch = LocalGemmScratch();
-        scratch.tile.GrowTo(tile_floats);
-        for (uint64_t block = block_begin; block < block_end; ++block) {
-          const uint32_t ic = static_cast<uint32_t>(block) * params.mc;
-          const uint32_t mb = std::min(params.mc, m - ic);
-          RunMacroBlock(a_block(ic, mb, pc, kb, scratch), params, use_simd,
-                        ic, mb, jc, nb, pc, kb, b, scratch.tile.data(),
-                        store_tile);
-        }
-      };
-      if (parallel) {
-        // Chunks own disjoint MC-row stripes of C, so there is no write
-        // sharing; the barrier at the end of ParallelFor orders this (jc,
-        // pc) iteration's accumulation before the next PackB reuses the
-        // shared panel.
-        pool->ParallelFor(num_ic_blocks, run_blocks);
-      } else {
-        run_blocks(0, 0, num_ic_blocks);
+      for (uint32_t ic = 0; ic < m; ic += params.mc) {
+        const uint32_t mb = std::min(params.mc, m - ic);
+        RunMacroBlock(a_block(ic, mb, pc, kb, scratch), params, use_simd,
+                      ic, mb, jc, nb, pc, kb, b, scratch.tile.data(),
+                      store_tile);
       }
     }
   }
@@ -381,7 +354,7 @@ PackedMatrix PackWeights(const Matrix& a, const GemmParams& params) {
 }
 
 void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
-                    const GemmParams& raw_params, common::ThreadPool* pool) {
+                    const GemmParams& raw_params) {
   const uint32_t m = a.rows();
   const uint32_t k = a.cols();
   const uint32_t n = b.cols();
@@ -392,13 +365,13 @@ void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
   const uint32_t nr = params.nr;
   const size_t packed_a_floats =
       static_cast<size_t>(RoundUp(params.mc, params.mr)) * params.kc;
-  // The packed-B panel lives in the caller's scratch; PackB refills it once
-  // per (jc, pc) iteration, between ParallelFor barriers.
+  // The packed-B panel lives in the thread's scratch; PackB refills it once
+  // per (jc, pc) iteration.
   AlignedBuffer& packed_b = LocalGemmScratch().packed_b;
   packed_b.GrowTo(static_cast<size_t>(params.kc) * RoundUp(params.nc, nr));
   c->Fill(0.0f);
   GemmLoop(
-      m, k, n, params, pool,
+      m, k, n, params,
       [&](uint32_t ic, uint32_t mb, uint32_t pc, uint32_t kb,
           GemmScratch& scratch) -> const float* {
         scratch.packed_a.GrowTo(packed_a_floats);
@@ -442,7 +415,7 @@ void GemmLayer(const PackedMatrix& a, const PanelMatrix& x,
   // starts pc * nr floats into it, and panels are k * nr floats apart.
   const size_t x_panel_stride = static_cast<size_t>(k) * nr;
   GemmLoop(
-      m, k, n, params, /*pool=*/nullptr,
+      m, k, n, params,
       [&](uint32_t ic, uint32_t /*mb*/, uint32_t pc, uint32_t kb,
           GemmScratch& /*scratch*/) { return a.Block(ic, pc, kb); },
       [&](uint32_t jc, uint32_t /*nb*/, uint32_t pc, uint32_t /*kb*/) {
@@ -458,18 +431,8 @@ void GemmLayer(const PackedMatrix& a, const PanelMatrix& x,
   for (size_t i = 0; i < y->size(); ++i) DNLR_DCHECK_FINITE(y->Panel(0)[i]);
 }
 
-void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
-                    const GemmParams& raw_params) {
-  GemmWithParams(a, b, c, raw_params, nullptr);
-}
-
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c) {
-  GemmWithParams(a, b, c, GemmParams(), nullptr);
-}
-
-void Gemm(const Matrix& a, const Matrix& b, Matrix* c,
-          common::ThreadPool* pool) {
-  GemmWithParams(a, b, c, GemmParams(), pool);
+  GemmWithParams(a, b, c, GemmParams());
 }
 
 void GemmReference(const Matrix& a, const Matrix& b, Matrix* c) {
@@ -523,16 +486,15 @@ double MeasureGemmGflops(uint32_t m, uint32_t k, uint32_t n, int repeats) {
 }
 
 double MeasureGemmGflopsWithParams(const GemmParams& params, uint32_t m,
-                                   uint32_t k, uint32_t n, int repeats,
-                                   uint64_t seed, common::ThreadPool* pool) {
-  Rng rng(seed);
+                                   uint32_t k, uint32_t n, int repeats) {
+  Rng rng(99);
   Matrix a(m, k);
   Matrix b(k, n);
   Matrix c(m, n);
   a.FillUniform(rng);
   b.FillUniform(rng);
   const double micros =
-      TimeMicros([&] { GemmWithParams(a, b, &c, params, pool); }, repeats);
+      TimeMicros([&] { GemmWithParams(a, b, &c, params); }, repeats);
   const double flops = 2.0 * m * n * k;
   return flops / (micros * 1e-6) / 1e9;
 }

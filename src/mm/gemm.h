@@ -8,10 +8,6 @@
 #include "mm/matrix.h"
 #include "mm/panel.h"
 
-namespace dnlr::common {
-class ThreadPool;
-}  // namespace dnlr::common
-
 namespace dnlr::mm {
 
 /// Micro-tile rows of the SIMD kernel the build's ISA selects: 12 rows of
@@ -34,15 +30,6 @@ struct GemmParams {
   uint32_t nc = 4080;         // columns of the packed B panel (multiple of nr)
   uint32_t mr = kGemmSimdMr;  // micro-tile rows (register blocking)
   uint32_t nr = 16;           // micro-tile cols (one zmm, or two ymm)
-
-  /// Parallel crossover: multiplications with fewer than this many flops
-  /// (2*m*n*k) stay on the serial path even when a pool is supplied —
-  /// below it, ParallelFor coordination costs more than the split saves.
-  /// The default is a conservative generic figure (~50 us of serial work
-  /// on one SIMD core); measure the machine's real crossover with
-  /// predict::MeasureGemmParallelScaling and override. 0 disables the
-  /// gate (always parallelize when a pool is given).
-  uint64_t min_parallel_flops = 2'000'000;
 
   /// oneDNN-style tailoring for small shapes (the rnd_up logic quoted in
   /// Section 4.2): clamps each blocking parameter to the actual problem
@@ -99,20 +86,6 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix* c);
 void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
                     const GemmParams& params);
 
-/// C = A * B parallelized over the ic macro-blocks of the Goto loop nest:
-/// each pool chunk packs and streams its own range of MC-row blocks of A
-/// (per-chunk PackA and tile scratch) against the shared packed-B panel,
-/// with a barrier per (jc, pc) iteration so the panel can be reused. Every
-/// C element is accumulated by exactly one chunk in the serial kernel's
-/// order, so the result is bitwise identical to the serial path. A null
-/// pool (or a pool of 1) runs the serial kernel.
-void GemmWithParams(const Matrix& a, const Matrix& b, Matrix* c,
-                    const GemmParams& params, common::ThreadPool* pool);
-
-/// Parallel variant of Gemm with default blocking parameters.
-void Gemm(const Matrix& a, const Matrix& b, Matrix* c,
-          common::ThreadPool* pool);
-
 /// One dense layer of the served forward pass, Y = act(A * X + bias), with
 /// A packed ahead by PackWeights and X, Y in panel layout (X's panel width
 /// must be the nr A was packed for). The kernel reads X's panels in place,
@@ -141,15 +114,11 @@ bool GemmHasSimd();
 /// dense time predictor's calibration table.
 double MeasureGemmGflops(uint32_t m, uint32_t k, uint32_t n, int repeats = 3);
 
-/// Measured GFLOPS of the raw-A GemmWithParams (serial, or parallel over
-/// `pool`) under explicit blocking parameters, packing included: the tuning
-/// ablation, the Figure 4-6 benches, and the parallel-crossover calibration,
-/// which passes min_parallel_flops = 0 to force the parallel kernel on
-/// shapes the default gate would keep serial.
+/// Measured GFLOPS of the raw-A GemmWithParams under explicit blocking
+/// parameters, packing included: the Figure 4-6 benches and the `stats`
+/// span-overhead probe.
 double MeasureGemmGflopsWithParams(const GemmParams& params, uint32_t m,
-                                   uint32_t k, uint32_t n, int repeats = 3,
-                                   uint64_t seed = 99,
-                                   common::ThreadPool* pool = nullptr);
+                                   uint32_t k, uint32_t n, int repeats = 3);
 
 }  // namespace dnlr::mm
 

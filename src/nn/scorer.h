@@ -28,13 +28,12 @@ struct NeuralScorerConfig {
   /// serial engine). Null means single-threaded. Not owned; must outlive
   /// the scorer.
   common::ThreadPool* pool = nullptr;
-  /// Parallel crossover: Score calls with fewer documents stay on the
+  /// Parallel threshold: Score calls with fewer documents stay on the
   /// serial path even when a pool is set — below it, ParallelFor
-  /// coordination costs more than the split saves. Callers with a measured
-  /// predict::ParallelScaling should set this to
-  /// scaling.CrossoverDocs(serial_us_per_doc); the default of two full
+  /// coordination costs more than the split saves. The default of two full
   /// batches is the structural floor (fewer than two batches cannot split
-  /// at batch granularity anyway). UINT32_MAX pins the scorer serial.
+  /// at batch granularity anyway); callers raise it for a pool whose
+  /// wake-up costs more. UINT32_MAX pins the scorer serial.
   uint32_t min_parallel_docs = 128;
 };
 

@@ -159,7 +159,10 @@ Status BundleFixture::Pack() {
                          serve::kServedCascadeRescoreFraction),
                      subset_cost};
   // The ladder (and the bundle's rung grammar) require non-increasing costs.
-  for (int i = 1; i < 3; ++i) costs[i] = std::min(costs[i], costs[i - 1]);
+  // Clamping upward from the floor budgets no rung below what it measured;
+  // the cascade (subset + a share of the student) stays dearer than the
+  // floor, so a budget can always tell the two apart.
+  for (int i = 1; i >= 0; --i) costs[i] = std::max(costs[i], costs[i + 1]);
   bundle::RungConfig rungs;
   rungs.rungs = {{"student", "student", costs[0]},
                  {"cascade", "cascade", costs[1]},

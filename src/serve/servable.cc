@@ -111,8 +111,7 @@ Status Servable::Build(const bundle::MappedBundle& bundle,
   // addresses stable for the ladder's and the cascade's borrows.
   nn::NeuralScorerConfig nn_config;
   nn_config.pool = options.pool;
-  // The crossover threshold rides along so a caller that measured
-  // "parallelism never wins here" gets serial rungs, not taxed ones.
+  // The caller's threshold can only raise the scorer's two-batch floor.
   nn_config.min_parallel_docs =
       std::max(nn_config.min_parallel_docs, options.min_parallel_docs);
   const auto keep = [&](std::unique_ptr<forest::DocumentScorer> scorer) {

@@ -29,13 +29,10 @@ struct ServableOptions {
   /// Optional intra-request parallelism for the neural rungs. Not owned;
   /// must outlive the Servable.
   common::ThreadPool* pool = nullptr;
-  /// Parallel crossover for the neural rungs (see
+  /// Parallel threshold for the neural rungs (see
   /// nn::NeuralScorerConfig::min_parallel_docs): Score calls below this
-  /// many documents stay serial. Callers with a measured
-  /// predict::ParallelScaling should pass
-  /// scaling.CrossoverDocs(serial_us_per_doc); UINT32_MAX pins the rungs
-  /// serial on machines where parallelism never wins. 0 keeps the
-  /// structural default.
+  /// many documents stay serial. Values under the scorer's default are
+  /// raised to it (0 keeps it); UINT32_MAX pins the rungs serial.
   uint32_t min_parallel_docs = 0;
   /// LoadFromFile maps the bundle file with mmap when possible; false
   /// forces the heap-read fallback (test knob, see common::MappedFile::Open).

@@ -7,16 +7,10 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "forest/parallel_scorer.h"
-#include "forest/quickscorer.h"
-#include "gbdt/tree.h"
-#include "mm/gemm.h"
-#include "mm/matrix.h"
 #include "nn/mlp.h"
 #include "nn/scorer.h"
 #include "prune/magnitude.h"
@@ -209,113 +203,6 @@ TEST(ThreadPoolTest, StatsProveTargetedWakeupsAndExactExecution) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel GEMM: bitwise identity with the serial kernel.
-
-/// Shapes chosen to hit every blocking edge case: single element, sub-tile,
-/// ragged tails in all three dimensions, and multiple mc blocks.
-const std::tuple<uint32_t, uint32_t, uint32_t> kGemmShapes[] = {
-    {1, 1, 1},    {5, 7, 3},     {13, 17, 31},
-    {63, 33, 70}, {100, 24, 37}, {130, 40, 65},
-};
-
-TEST(ParallelGemmTest, BitwiseEqualsSerialAcrossShapesAndThreads) {
-  for (const auto& [m, k, n] : kGemmShapes) {
-    Rng rng(static_cast<uint64_t>(m) * 131 + k * 17 + n);
-    mm::Matrix a(m, k);
-    mm::Matrix b(k, n);
-    a.FillNormal(rng);
-    b.FillNormal(rng);
-
-    // Small mc forces several ic macro-blocks even on tiny shapes, so the
-    // parallel path actually splits (default mc=72 would leave most of
-    // these shapes single-block). mr/nr granularity must be respected.
-    // min_parallel_flops = 0 disables the crossover gate: every shape here
-    // sits below the default threshold, and this sweep exists to prove the
-    // parallel kernel itself is bitwise-exact (the gate has its own test).
-    mm::GemmParams defaults;
-    defaults.min_parallel_flops = 0;
-    mm::GemmParams small_blocks;
-    small_blocks.mc = 12;
-    small_blocks.kc = 16;
-    small_blocks.nc = 32;
-    small_blocks.min_parallel_flops = 0;
-
-    for (const mm::GemmParams& params : {defaults, small_blocks}) {
-      mm::Matrix serial(m, n);
-      mm::GemmWithParams(a, b, &serial, params);
-      for (const uint32_t threads : {1u, 3u, 8u}) {
-        ThreadPool pool(threads);
-        mm::Matrix parallel(m, n);
-        parallel.Fill(-123.0f);  // poison: every element must be written
-        mm::GemmWithParams(a, b, &parallel, params, &pool);
-        ASSERT_EQ(std::memcmp(serial.data(), parallel.data(),
-                              serial.size() * sizeof(float)),
-                  0)
-            << "shape (" << m << "," << k << "," << n << ") threads "
-            << threads << " mc " << params.mc;
-      }
-    }
-  }
-}
-
-// The work-size crossover gate: shapes below min_parallel_flops must stay
-// on the calling thread (no coordination tax for small work), shapes at or
-// above it must fan out — and both sides stay bitwise-identical to serial.
-// Pool stats distinguish the paths: only a fan-out runs queued tasks.
-TEST(ParallelGemmTest, CrossoverGateStraddle) {
-  mm::GemmParams params;
-  params.mc = 12;  // several ic macro-blocks even on small shapes
-  params.kc = 16;
-  params.nc = 32;
-  // Threshold chosen so the shapes below straddle it exactly:
-  // 2 * m * 32 * 32 flops => m = 32 is half, m = 48 is at, m = 96 is 2x.
-  params.min_parallel_flops = 2ull * 48 * 32 * 32;
-
-  ThreadPool pool(3);
-  struct Case {
-    uint32_t m;
-    bool expect_parallel;
-  };
-  for (const Case c : {Case{32, false}, Case{48, true}, Case{96, true}}) {
-    Rng rng(c.m);
-    mm::Matrix a(c.m, 32);
-    mm::Matrix b(32, 32);
-    a.FillNormal(rng);
-    b.FillNormal(rng);
-    mm::Matrix serial(c.m, 32);
-    mm::GemmWithParams(a, b, &serial, params);
-
-    const uint64_t tasks_before = pool.GetStats().tasks_run;
-    mm::Matrix gated(c.m, 32);
-    gated.Fill(-123.0f);
-    mm::GemmWithParams(a, b, &gated, params, &pool);
-    const uint64_t tasks_after = pool.GetStats().tasks_run;
-
-    EXPECT_EQ(tasks_after > tasks_before, c.expect_parallel)
-        << "m " << c.m << ": wrong side of the crossover";
-    ASSERT_EQ(std::memcmp(serial.data(), gated.data(),
-                          serial.size() * sizeof(float)),
-              0)
-        << "m " << c.m;
-  }
-}
-
-TEST(ParallelGemmTest, NullPoolIsSerial) {
-  Rng rng(7);
-  mm::Matrix a(30, 20);
-  mm::Matrix b(20, 10);
-  a.FillNormal(rng);
-  b.FillNormal(rng);
-  mm::Matrix serial(30, 10);
-  mm::Matrix via_null(30, 10);
-  mm::Gemm(a, b, &serial);
-  mm::Gemm(a, b, &via_null, nullptr);
-  EXPECT_EQ(std::memcmp(serial.data(), via_null.data(),
-                        serial.size() * sizeof(float)),
-            0);
-}
-
-// ---------------------------------------------------------------------------
 // Neural scorers: pool chunking preserves scores bitwise.
 
 std::vector<float> RandomDocs(uint32_t count, uint32_t stride, uint64_t seed) {
@@ -449,100 +336,6 @@ TEST(ParallelNeuralScorerTest, ConcurrentCallersShareOnePackedScorer) {
   for (int t = 0; t < kCallers; ++t) {
     EXPECT_EQ(mismatches[t], 0) << "caller " << t;
   }
-}
-
-// ---------------------------------------------------------------------------
-// ParallelEnsembleScorer: chunked traversal equals the inner scorer.
-
-/// A small hand-built forest: stumps over distinct features, so scores
-/// depend on every document's values and chunk boundaries would show.
-gbdt::Ensemble MakeStumpForest(uint32_t num_features) {
-  gbdt::Ensemble ensemble(0.1);
-  for (uint32_t f = 0; f < num_features; ++f) {
-    std::vector<gbdt::TreeNode> nodes(1);
-    nodes[0] = {f, 0.0f, gbdt::TreeNode::EncodeLeaf(0),
-                gbdt::TreeNode::EncodeLeaf(1)};
-    ensemble.AddTree(gbdt::RegressionTree(
-        std::move(nodes), {-0.5 * (f + 1), 0.25 * (f + 1)}));
-  }
-  return ensemble;
-}
-
-TEST(ParallelEnsembleScorerTest, BitwiseEqualsInnerScorer) {
-  const uint32_t features = 6;
-  const gbdt::Ensemble ensemble = MakeStumpForest(features);
-  const forest::QuickScorer inner(ensemble, features);
-
-  const uint32_t count = 500;
-  const std::vector<float> docs = RandomDocs(count, features, 23);
-  std::vector<float> expected(count);
-  inner.Score(docs.data(), count, features, expected.data());
-
-  for (const uint32_t threads : {1u, 3u, 8u}) {
-    ThreadPool pool(threads);
-    const forest::ParallelEnsembleScorer wrapper(&inner, &pool,
-                                                 /*min_docs_per_chunk=*/16);
-    std::vector<float> actual(count, -123.0f);
-    wrapper.Score(docs.data(), count, features, actual.data());
-    ASSERT_EQ(std::memcmp(expected.data(), actual.data(),
-                          count * sizeof(float)),
-              0)
-        << "threads " << threads;
-  }
-}
-
-// min_parallel_docs straddle for the forest wrapper: below the measured
-// crossover the inner scorer runs on the calling thread; at or above it the
-// block fans out. Scores match the inner scorer bitwise on both sides.
-TEST(ParallelEnsembleScorerTest, CrossoverDocsStraddle) {
-  const uint32_t features = 6;
-  const gbdt::Ensemble ensemble = MakeStumpForest(features);
-  const forest::QuickScorer inner(ensemble, features);
-  ThreadPool pool(3);
-  const forest::ParallelEnsembleScorer wrapper(&inner, &pool,
-                                               /*min_docs_per_chunk=*/16,
-                                               /*min_parallel_docs=*/256);
-  struct Case {
-    uint32_t count;
-    bool expect_parallel;
-  };
-  for (const Case c : {Case{200, false}, Case{256, true}, Case{500, true}}) {
-    const std::vector<float> docs = RandomDocs(c.count, features, c.count);
-    std::vector<float> expected(c.count);
-    inner.Score(docs.data(), c.count, features, expected.data());
-
-    const uint64_t tasks_before = pool.GetStats().tasks_run;
-    std::vector<float> actual(c.count, -123.0f);
-    wrapper.Score(docs.data(), c.count, features, actual.data());
-    const uint64_t tasks_after = pool.GetStats().tasks_run;
-
-    EXPECT_EQ(tasks_after > tasks_before, c.expect_parallel)
-        << "count " << c.count << ": wrong side of the crossover";
-    ASSERT_EQ(std::memcmp(expected.data(), actual.data(),
-                          c.count * sizeof(float)),
-              0)
-        << "count " << c.count;
-  }
-}
-
-TEST(ParallelEnsembleScorerTest, TinyBlocksStayOnCallingThread) {
-  const uint32_t features = 4;
-  const gbdt::Ensemble ensemble = MakeStumpForest(features);
-  const forest::QuickScorer inner(ensemble, features);
-  ThreadPool pool(4);
-  const forest::ParallelEnsembleScorer wrapper(&inner, &pool,
-                                               /*min_docs_per_chunk=*/64);
-  // 100 docs < 2 * 64: pass-through, still correct.
-  const uint32_t count = 100;
-  const std::vector<float> docs = RandomDocs(count, features, 29);
-  std::vector<float> expected(count);
-  std::vector<float> actual(count);
-  inner.Score(docs.data(), count, features, expected.data());
-  wrapper.Score(docs.data(), count, features, actual.data());
-  EXPECT_EQ(std::memcmp(expected.data(), actual.data(),
-                        count * sizeof(float)),
-            0);
-  EXPECT_EQ(wrapper.name(), "parallel-quickscorer");
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "common/thread_pool.h"
 #include "mm/gemm.h"
 #include "mm/sdmm.h"
 #include "predict/architecture.h"
@@ -226,79 +225,6 @@ TEST(NetworkTimeTest, SpeedupGrowsWithSparsity) {
     EXPECT_GT(speedup, previous);
     previous = speedup;
   }
-}
-
-TEST(ParallelScalingTest, CrossoverDocsInvertsTheOverheadModel) {
-  ParallelScaling scaling;
-  scaling.num_threads = 2;
-  scaling.efficiency = 0.8;  // Speedup() == 1.8
-  scaling.overhead_us = 100.0;
-  scaling.crossover_flops = 1;  // any nonzero non-sentinel: gating active
-  // Break-even: docs * 1us * (1 - 1/1.8) > 100us => just above 225 docs.
-  const uint32_t docs = scaling.CrossoverDocs(1.0);
-  EXPECT_GE(docs, 225u);
-  EXPECT_LE(docs, 226u);
-  // Ten times the per-doc cost repays the overhead ten times sooner.
-  const uint32_t docs_fast = scaling.CrossoverDocs(10.0);
-  EXPECT_GE(docs_fast, 22u);
-  EXPECT_LE(docs_fast, 24u);
-}
-
-TEST(ParallelScalingTest, CrossoverDocsSentinels) {
-  // Default-constructed scaling measured nothing: no gating.
-  const ParallelScaling unknown;
-  EXPECT_EQ(unknown.CrossoverDocs(1.0), 0u);
-
-  // "Parallelism never wins" pins the caller serial.
-  ParallelScaling never;
-  never.num_threads = 2;
-  never.efficiency = 0.5;
-  never.overhead_us = 10.0;
-  never.crossover_flops = UINT64_MAX;
-  EXPECT_EQ(never.CrossoverDocs(1.0), UINT32_MAX);
-
-  // No measured speedup (or a nonsensical serial cost) likewise.
-  ParallelScaling flat;
-  flat.num_threads = 2;
-  flat.efficiency = 0.0;
-  flat.overhead_us = 10.0;
-  flat.crossover_flops = 1000;
-  EXPECT_EQ(flat.CrossoverDocs(1.0), UINT32_MAX);
-  ParallelScaling ok = never;
-  ok.crossover_flops = 1000;
-  EXPECT_EQ(ok.CrossoverDocs(0.0), UINT32_MAX);
-}
-
-TEST(ParallelScalingTest, MeasuredScalingIsClampedAndCalibrated) {
-  common::ThreadPool pool(2);
-  const ParallelScaling scaling =
-      MeasureGemmParallelScaling(&pool, 64, 64, 64, /*repeats=*/1);
-  // The efficiency clamp: oversubscribed or noisy runs (a single-core CI
-  // box included) must never report e outside [0, 1] — the seed bug was an
-  // unclamped 0.075 from probing below the crossover.
-  EXPECT_GE(scaling.efficiency, 0.0);
-  EXPECT_LE(scaling.efficiency, 1.0);
-  EXPECT_EQ(scaling.num_threads, 2u);
-  // A measurement always yields a calibration: either a finite crossover
-  // (with its overhead) or the explicit "never wins" sentinel.
-  EXPECT_NE(scaling.crossover_flops, 0u);
-  EXPECT_GE(scaling.overhead_us, 0.0);
-  const uint32_t docs = scaling.CrossoverDocs(1.0);
-  if (scaling.crossover_flops == UINT64_MAX) {
-    EXPECT_EQ(docs, UINT32_MAX);
-  } else {
-    EXPECT_GT(docs, 0u);
-  }
-}
-
-TEST(ParallelScalingTest, NullOrSerialPoolIsIdentity) {
-  EXPECT_EQ(MeasureGemmParallelScaling(nullptr).efficiency, 1.0);
-  common::ThreadPool one(1);
-  const ParallelScaling scaling = MeasureGemmParallelScaling(&one);
-  EXPECT_EQ(scaling.num_threads, 1u);
-  EXPECT_EQ(scaling.efficiency, 1.0);
-  EXPECT_EQ(scaling.crossover_flops, 0u);
-  EXPECT_EQ(scaling.Speedup(), 1.0);
 }
 
 }  // namespace

@@ -471,6 +471,24 @@ TEST(BundleFixtureTest, TopRungServesThePrunedStudentOnTheHybridEngine) {
       std::filesystem::path(fixture->bundle_path()).parent_path());
 }
 
+// Rung costs are clamped upward from the floor, so the cascade stays dearer
+// than the teacher subset whatever the host measured, and a budget of
+// exactly the floor's batch cost picks the floor.
+TEST(BundleFixtureTest, CascadeCostsMoreThanTheFloorItFallsBackTo) {
+  const auto fixture = SmallFixture("replay_driver_test_costs");
+  ASSERT_NE(fixture, nullptr);
+  const serve::DegradationLadder& ladder = *fixture->initial_ladder();
+  ASSERT_EQ(ladder.num_rungs(), 3u);
+  EXPECT_GT(ladder.rung(1).predicted_us_per_doc,
+            ladder.rung(2).predicted_us_per_doc);
+  const uint32_t count = 100;
+  EXPECT_EQ(ladder.PickRung(ladder.PredictedBatchMicros(2, count, 1.0), count,
+                            1.0),
+            2);
+  std::filesystem::remove_all(
+      std::filesystem::path(fixture->bundle_path()).parent_path());
+}
+
 TEST(BundleFixtureTest, FaultInjectedGenerationFaultsOnlyItsTopRung) {
   const auto fixture = SmallFixture("replay_driver_test_faults");
   ASSERT_NE(fixture, nullptr);

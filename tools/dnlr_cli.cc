@@ -45,7 +45,6 @@
 #include "common/thread_pool.h"
 #include "core/pipeline.h"
 #include "core/timing.h"
-#include "forest/parallel_scorer.h"
 #include "data/letor_io.h"
 #include "data/letor_stream.h"
 #include "data/synthetic.h"
@@ -148,12 +147,24 @@ class Args {
                ? static_cast<int>(ParseNumber(*value, "--" + key, true))
                : fallback;
   }
-  /// GetInt for a count: exits 2 below 1 (zero queries or requests would
-  /// crash the request loop).
-  int GetCount(const std::string& key, int fallback) const {
+  /// GetInt bounded to [min, max], or exit 2: a negative count or
+  /// duration would wrap when cast to an unsigned size.
+  int GetInRange(const std::string& key, int fallback, int min,
+                 int max = std::numeric_limits<int>::max()) const {
     const int value = GetInt(key, fallback);
-    if (value < 1) UsageError("--%s must be >= 1, got %d", key.c_str(), value);
+    if (value < min) {
+      UsageError("--%s must be >= %d, got %d", key.c_str(), min, value);
+    }
+    if (value > max) {
+      UsageError("--%s must be <= %d, got %d", key.c_str(), max, value);
+    }
     return value;
+  }
+  /// GetInRange for a count: at least 1 (zero queries or requests would
+  /// crash the request loop) and at most `max`.
+  int GetCount(const std::string& key, int fallback,
+               int max = std::numeric_limits<int>::max()) const {
+    return GetInRange(key, fallback, 1, max);
   }
   bool Has(const std::string& key) const { return Find(key) != nullptr; }
 
@@ -183,14 +194,22 @@ int Fail(const Status& status) {
   return 1;
 }
 
+/// Upper bound on every count that starts OS threads or sizes a fleet or a
+/// per-tenant table from user input: --threads entries, --workers, --shards
+/// and --tenants.
+constexpr int kMaxThreadCount = 256;
+
 /// Parses a comma-separated thread-count list like "1,2,4". Exits 2 on junk,
-/// a count below 1 or an empty list.
+/// a count outside [1, kMaxThreadCount] or an empty list.
 std::vector<uint32_t> ParseThreadList(const std::string& csv) {
   std::vector<uint32_t> threads;
   for (const std::string_view item : SplitAndSkipEmpty(csv, ',')) {
     const auto value =
         static_cast<int>(ParseNumber(std::string(item), "--threads", true));
-    if (value < 1) UsageError("--threads: bad thread count %d", value);
+    if (value < 1 || value > kMaxThreadCount) {
+      UsageError("--threads: bad thread count %d (1..%d)", value,
+                 kMaxThreadCount);
+    }
     threads.push_back(static_cast<uint32_t>(value));
   }
   if (threads.empty()) UsageError("--threads list is empty");
@@ -500,7 +519,7 @@ replay::ServeConfig ParseServeConfig(const Args& args,
                                      replay::ServeConfig config) {
   config.queries = args.GetCount("queries", config.queries);
   config.features = args.GetCount("features", config.features);
-  config.workers = args.GetCount("workers", config.workers);
+  config.workers = args.GetCount("workers", config.workers, kMaxThreadCount);
   config.deadline_us = args.GetInt("deadline-us", config.deadline_us);
   config.seed = args.GetInt("seed", config.seed);
   config.queue_capacity = args.GetInt("queue", config.queue_capacity);
@@ -652,14 +671,17 @@ void RunTenantTraffic(serve::ShardedRouter& router, const data::Dataset& data,
 int CmdServeBenchSharded(const Args& args) {
   const replay::ServeConfig config = ParseServeConfig(
       args, {.workers = 2, .deadline_us = 50'000, .queue_capacity = 64});
-  const auto shards = static_cast<size_t>(args.GetInt("shards", 4));
-  const auto tenants = static_cast<uint64_t>(args.GetInt("tenants", 8));
+  const auto shards = static_cast<size_t>(
+      args.GetInRange("shards", 4, 2, kMaxThreadCount));
+  const auto tenants = static_cast<uint64_t>(
+      args.GetInRange("tenants", 8, 2, kMaxThreadCount));
   const int64_t abusive_tenant = args.GetInt("abusive-tenant", 0);
-  const auto soak_ms = static_cast<uint64_t>(args.GetInt("soak-ms", 2000));
+  const auto soak_ms = static_cast<uint64_t>(args.GetCount("soak-ms", 2000));
   const auto baseline_ms = static_cast<uint64_t>(
-      args.GetInt("baseline-ms", static_cast<int>(std::max<uint64_t>(
-                                     500, soak_ms / 4))));
-  const auto pace_us = static_cast<uint64_t>(args.GetInt("pace-us", 1000));
+      args.GetCount("baseline-ms", static_cast<int>(std::max<uint64_t>(
+                                       500, soak_ms / 4))));
+  const auto pace_us =
+      static_cast<uint64_t>(args.GetInRange("pace-us", 1000, 0));
   const double quota_rate = args.GetDouble("quota-rate", 500.0);
   const double quota_burst = args.GetDouble("quota-burst", 50.0);
   const double fault_rate = args.GetDouble("fault-rate", 0.2);
@@ -678,9 +700,6 @@ int CmdServeBenchSharded(const Args& args) {
   const double admit_slack = args.GetDouble("admit-slack", 2.0);
   const std::string out = args.Get("out", "out/serve_shard_ci.json");
   args.RejectUnread();
-  if (shards < 2 || tenants < 2) {
-    UsageError("--shards and --tenants must both be >= 2");
-  }
   const auto features = static_cast<uint32_t>(config.features);
   const uint64_t seed = config.seed;
 
@@ -901,9 +920,9 @@ int CmdSoakBench(const Args& args) {
   const replay::ServeConfig config = ParseServeConfig(
       args, {.queries = 48, .features = 32, .queue_capacity = 256});
   const auto duration_ms =
-      static_cast<uint64_t>(args.GetInt("duration-ms", 10'000));
+      static_cast<uint64_t>(args.GetInRange("duration-ms", 10'000, 1000));
   const auto reload_every_ms =
-      static_cast<uint64_t>(args.GetInt("reload-every-ms", 700));
+      static_cast<uint64_t>(args.GetCount("reload-every-ms", 700));
   const int poison_every = args.GetInt("poison-every", 2);
   replay::SoakOutcome outcome;
   outcome.min_hit_rate = args.GetDouble("min-hit-rate", 0.5);
@@ -925,7 +944,7 @@ int CmdSoakBench(const Args& args) {
   // Default period: the soak covers 1.5 compressed "days", so both the
   // peak and the trough are exercised.
   wc.diurnal_period_micros =
-      static_cast<uint64_t>(args.GetInt(
+      static_cast<uint64_t>(args.GetCount(
           "diurnal-period-ms", static_cast<int>(duration_ms * 2 / 3))) *
       1000;
   wc.burst_probability = args.GetDouble("burst-probability", 0.003);
@@ -939,7 +958,6 @@ int CmdSoakBench(const Args& args) {
       .bundle_path = args.Get("bundle", "out/soak.bundle"),
       .poisoned_twin = true};
   args.RejectUnread();
-  if (duration_ms < 1000) UsageError("--duration-ms must be >= 1000");
   auto created = replay::BundleFixture::Create(config, fc);
   if (!created.ok()) return Fail(created.status());
   const replay::BundleFixture& fixture = **created;
@@ -1177,10 +1195,10 @@ int CmdSoakBench(const Args& args) {
 /// costs) with faults injected into the top rung, and writes a
 /// latency-percentile + rung-distribution JSON report. With --reload-every
 /// N it instead runs the bundle hot-reload load test (see
-/// CmdServeBenchReload); with --shards N >= 2 it runs the sharded
+/// CmdServeBenchReload); with --shards N (2 to 256) it runs the sharded
 /// multi-tenant isolation soak (see CmdServeBenchSharded).
 int CmdServeBench(const Args& args) {
-  if (args.GetInt("shards", 0) >= 2) return CmdServeBenchSharded(args);
+  if (args.Has("shards")) return CmdServeBenchSharded(args);
   if (args.GetInt("reload-every", 0) > 0) return CmdServeBenchReload(args);
   const replay::ServeConfig config = ParseServeConfig(
       args, {.queries = 80, .features = 136, .deadline_us = 6000});
@@ -1300,20 +1318,19 @@ int CmdServeBench(const Args& args) {
              : 1;
 }
 
-/// Measures GEMM GFLOP/s and end-to-end docs/s of the dense-NN, hybrid-NN
-/// and tree-ensemble rungs at each requested thread count and writes a
-/// scaling JSON report — the multi-core counterpart of the paper's
-/// single-core efficiency tables: the same engines, sped up by the shared
-/// ThreadPool instead of by shrinking the architecture. With
-/// --min-t2-ratio R > 0 the command fails (exit 1) when the dense rung's
-/// T=2 throughput drops below R times its T=1 throughput, which is the CI
-/// smoke gate against threading regressions.
+/// Measures end-to-end docs/s of the dense-NN and hybrid-NN engines at each
+/// requested thread count and writes a scaling JSON report. Each engine is
+/// built the way serve::Servable builds a pooled neural rung: at T > 1 a
+/// T-thread pool under the default min_parallel_docs, except on a host
+/// with one hardware thread, where no split can pay and the engines score
+/// without the pool. With --min-t2-ratio R > 0 the command fails (exit 1)
+/// when the dense engine's T=2 throughput drops below R times its T=1
+/// throughput, which is the CI smoke gate against threading regressions.
 int CmdBenchScaling(const Args& args) {
-  const auto features = static_cast<uint32_t>(args.GetInt("features", 136));
-  const auto queries = static_cast<uint32_t>(args.GetInt("queries", 60));
+  const auto features = static_cast<uint32_t>(args.GetCount("features", 136));
+  const auto queries = static_cast<uint32_t>(args.GetCount("queries", 60));
   const double sparsity = args.GetDouble("sparsity", 0.98);
-  const auto num_trees = static_cast<uint32_t>(args.GetInt("trees", 40));
-  const int repeats = args.GetInt("repeats", 3);
+  const int repeats = args.GetCount("repeats", 3);
   const auto seed = static_cast<uint64_t>(args.GetInt("seed", 42));
   const std::vector<uint32_t> thread_counts =
       ParseThreadList(args.Get("threads", "1,2,4"));
@@ -1327,21 +1344,20 @@ int CmdBenchScaling(const Args& args) {
   args.RejectUnread();
 
   // Named workload presets. "large" is the tuned throughput config (the
-  // --queries/--arch/--trees flags apply to it); "small" is a fixed tiny
-  // smoke workload whose per-call batches sit near or below the parallel
-  // crossover — its gate checks that threading never taxes small batches.
+  // --queries/--arch flags apply to it); "small" is a fixed tiny smoke
+  // workload whose per-call batches sit near the parallel threshold — its
+  // gate checks that threading never taxes small batches.
   struct Preset {
     std::string name;
     uint32_t queries = 0;
-    uint32_t trees = 0;
     std::string arch;
   };
   std::vector<Preset> presets;
   for (const std::string_view piece : SplitAndSkipEmpty(configs_flag, ',')) {
     if (piece == "large") {
-      presets.push_back(Preset{"large", queries, num_trees, large_arch});
+      presets.push_back(Preset{"large", queries, large_arch});
     } else if (piece == "small") {
-      presets.push_back(Preset{"small", 8, 5, "32x16"});
+      presets.push_back(Preset{"small", 8, "32x16"});
     } else {
       std::fprintf(stderr, "unknown --configs entry '%.*s' (small|large)\n",
                    static_cast<int>(piece.size()), piece.data());
@@ -1351,14 +1367,8 @@ int CmdBenchScaling(const Args& args) {
 
   struct Row {
     uint32_t threads = 1;
-    double gemm_gflops = 0.0;
-    double efficiency = 1.0;
-    double overhead_us = 0.0;
-    uint64_t crossover_flops = 0;
-    uint32_t nn_min_parallel_docs = 0;
     double dense_docs_per_s = 0.0;
     double hybrid_docs_per_s = 0.0;
-    double tree_docs_per_s = 0.0;
   };
   struct ConfigReport {
     Preset preset;
@@ -1370,24 +1380,21 @@ int CmdBenchScaling(const Args& args) {
   std::vector<ConfigReport> reports;
 
   // With --obs 1 the GEMM / scorer spans record during the measurement
-  // loop, so the report can say where scoring time went (pack vs kernel),
-  // not only how fast it was. Off by default: the gate numbers stay
-  // uninstrumented unless asked.
+  // loop, so the report can say where scoring time went, not only how fast
+  // it was. Off by default: the gate numbers stay uninstrumented unless
+  // asked.
   obs::MetricsRegistry::Global().SetEnabled(obs_spans);
+  const bool can_split = common::ThreadPool::HardwareThreads() > 1;
 
   for (const Preset& preset : presets) {
     auto arch = predict::Architecture::Parse(preset.arch, features);
     if (!arch.ok()) return Fail(arch.status());
 
     // Synthetic corpus: throughput, not ranking quality, is what this bench
-    // measures, so the neural rungs keep their random initial weights.
+    // measures, so the neural engines keep their random initial weights.
     std::fprintf(stderr, "[%s]\n", preset.name.c_str());
     const data::Dataset dataset =
         replay::SyntheticCorpus(preset.queries, features, seed);
-    const gbdt::Ensemble forest_model =
-        replay::TrainForest(dataset, preset.trees, 32);
-    forest::QuickScorer tree_scorer(forest_model, features);
-
     nn::Mlp dense_mlp(*arch, seed);
     nn::Mlp hybrid_mlp(*arch, seed + 1);
     nn::WeightMasks masks = prune::MakeDenseMasks(hybrid_mlp);
@@ -1398,74 +1405,23 @@ int CmdBenchScaling(const Args& args) {
     ConfigReport report;
     report.preset = preset;
     report.docs = dataset.num_docs();
-
-    // Serial per-doc costs from the T=1 row feed CrossoverDocs for the
-    // T>1 rows, so the crossover the bench applies is the one a production
-    // caller would compute from the same measurements.
-    double dense_serial_us = 0.0;
-    double tree_serial_us = 0.0;
-
     for (const uint32_t t : thread_counts) {
       common::ThreadPool pool(t);
-      common::ThreadPool* pool_ptr = t > 1 ? &pool : nullptr;
+      nn::NeuralScorerConfig nn_config;
+      if (t > 1 && can_split) nn_config.pool = &pool;
+      const nn::NeuralScorer dense(dense_mlp, &normalizer, nn_config);
+      const nn::HybridNeuralScorer hybrid(hybrid_mlp, &normalizer, nn_config);
 
       Row row;
       row.threads = t;
-
-      uint32_t nn_crossover = 0;
-      uint32_t tree_crossover = 0;
-      mm::GemmParams gemm_params;
-      if (t > 1) {
-        const predict::ParallelScaling scaling =
-            predict::MeasureGemmParallelScaling(pool_ptr, 256, 256, 512,
-                                                repeats);
-        row.efficiency = scaling.efficiency;
-        row.overhead_us = scaling.overhead_us;
-        row.crossover_flops = scaling.crossover_flops;
-        // Each engine gates on its own serial cost; without a T=1 baseline
-        // (a --threads list omitting 1) the structural defaults stand.
-        if (dense_serial_us > 0.0) {
-          nn_crossover = scaling.CrossoverDocs(dense_serial_us);
-        }
-        if (tree_serial_us > 0.0) {
-          tree_crossover = scaling.CrossoverDocs(tree_serial_us);
-        }
-        gemm_params.min_parallel_flops = scaling.crossover_flops;
-      }
-      row.gemm_gflops = mm::MeasureGemmGflopsWithParams(gemm_params, 256, 256,
-                                                        64, repeats, 99,
-                                                        pool_ptr);
-
-      nn::NeuralScorerConfig nn_config;
-      nn_config.pool = pool_ptr;
-      nn_config.min_parallel_docs =
-          std::max(nn_config.min_parallel_docs, nn_crossover);
-      row.nn_min_parallel_docs = nn_config.min_parallel_docs;
-      const nn::NeuralScorer dense(dense_mlp, &normalizer, nn_config);
-      const nn::HybridNeuralScorer hybrid(hybrid_mlp, &normalizer, nn_config);
-      const forest::ParallelEnsembleScorer tree(&tree_scorer, pool_ptr, 64,
-                                                tree_crossover);
-
-      const double dense_us =
-          core::MeasureScorerMicrosPerDoc(dense, dataset, repeats);
-      const double hybrid_us =
-          core::MeasureScorerMicrosPerDoc(hybrid, dataset, repeats);
-      const double tree_us =
-          core::MeasureScorerMicrosPerDoc(tree, dataset, repeats);
-      if (t == 1) {
-        dense_serial_us = dense_us;
-        tree_serial_us = tree_us;
-      }
-      row.dense_docs_per_s = 1e6 / dense_us;
-      row.hybrid_docs_per_s = 1e6 / hybrid_us;
-      row.tree_docs_per_s = 1e6 / tree_us;
+      row.dense_docs_per_s =
+          1e6 / core::MeasureScorerMicrosPerDoc(dense, dataset, repeats);
+      row.hybrid_docs_per_s =
+          1e6 / core::MeasureScorerMicrosPerDoc(hybrid, dataset, repeats);
       report.rows.push_back(row);
-      std::fprintf(stderr,
-                   "[%s] T=%u  gemm %7.2f GFLOP/s  dense %9.0f  "
-                   "hybrid %9.0f  tree %9.0f docs/s\n",
-                   preset.name.c_str(), t, row.gemm_gflops,
-                   row.dense_docs_per_s, row.hybrid_docs_per_s,
-                   row.tree_docs_per_s);
+      std::fprintf(stderr, "[%s] T=%u  dense %9.0f  hybrid %9.0f docs/s\n",
+                   preset.name.c_str(), t, row.dense_docs_per_s,
+                   row.hybrid_docs_per_s);
     }
     reports.push_back(std::move(report));
   }
@@ -1518,25 +1474,12 @@ int CmdBenchScaling(const Args& args) {
          << ", \"queries\": " << report.preset.queries
          << ", \"docs\": " << report.docs << ", \"arch\": \""
          << report.preset.arch << "\", \"sparsity\": "
-         << FormatFixed(sparsity, 3) << ", \"trees\": " << report.preset.trees
-         << ", \"repeats\": " << repeats << ", \"seed\": " << seed << "},\n";
+         << FormatFixed(sparsity, 3) << ", \"repeats\": " << repeats
+         << ", \"seed\": " << seed << "},\n";
     json << "     \"results\": [\n";
     for (size_t i = 0; i < report.rows.size(); ++i) {
       const Row& row = report.rows[i];
-      // UINT64_MAX crossover means "parallelism never wins on this machine";
-      // -1 keeps that readable where a 20-digit sentinel would not be.
-      const bool never = row.crossover_flops == UINT64_MAX;
       json << "       {\"threads\": " << row.threads
-           << ", \"gemm_gflops\": " << FormatFixed(row.gemm_gflops, 3)
-           << ", \"parallel_efficiency\": " << FormatFixed(row.efficiency, 3)
-           << ", \"overhead_us\": " << FormatFixed(row.overhead_us, 2)
-           << ", \"crossover_flops\": "
-           << (never ? std::string("-1")
-                     : std::to_string(row.crossover_flops))
-           << ", \"nn_min_parallel_docs\": "
-           << (row.nn_min_parallel_docs == UINT32_MAX
-                   ? std::string("-1")
-                   : std::to_string(row.nn_min_parallel_docs))
            << ", \"dense_docs_per_s\": "
            << FormatFixed(row.dense_docs_per_s, 1)
            << ", \"dense_speedup\": "
@@ -1545,9 +1488,6 @@ int CmdBenchScaling(const Args& args) {
            << FormatFixed(row.hybrid_docs_per_s, 1)
            << ", \"hybrid_speedup\": "
            << FormatFixed(row.hybrid_docs_per_s / base.hybrid_docs_per_s, 3)
-           << ", \"tree_docs_per_s\": " << FormatFixed(row.tree_docs_per_s, 1)
-           << ", \"tree_speedup\": "
-           << FormatFixed(row.tree_docs_per_s / base.tree_docs_per_s, 3)
            << "}" << (i + 1 < report.rows.size() ? "," : "") << "\n";
     }
     json << "     ]";
@@ -1564,20 +1504,14 @@ int CmdBenchScaling(const Args& args) {
   if (obs_spans) {
     obs::MetricsRegistry::Global().SetEnabled(false);
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    const double kernel_us =
-        registry.GetHistogram("mm.gemm.kernel_us").SumMicros();
-    const double pack_us =
-        registry.GetHistogram("mm.gemm.pack_a_us").SumMicros() +
-        registry.GetHistogram("mm.gemm.pack_b_us").SumMicros();
-    const double gemm_us =
-        registry.GetHistogram("mm.gemm.total_us").SumMicros();
     json << ",\n  \"obs\": {\"gemm_calls\": "
          << registry.GetCounter("mm.gemm.calls").Value()
-         << ", \"gemm_total_us\": " << FormatFixed(gemm_us, 1)
-         << ", \"gemm_kernel_us\": " << FormatFixed(kernel_us, 1)
-         << ", \"gemm_pack_us\": " << FormatFixed(pack_us, 1)
-         << ", \"gemm_pack_share\": "
-         << FormatFixed(gemm_us > 0.0 ? pack_us / gemm_us : 0.0, 3)
+         << ", \"gemm_total_us\": "
+         << FormatFixed(
+                registry.GetHistogram("mm.gemm.total_us").SumMicros(), 1)
+         << ", \"gemm_kernel_us\": "
+         << FormatFixed(
+                registry.GetHistogram("mm.gemm.kernel_us").SumMicros(), 1)
          << ", \"stats_file\": \"" << obs_out << "\"}";
   }
   json << "\n}\n";
@@ -1626,8 +1560,8 @@ int CmdStats(const Args& args) {
     return 0;
   }
 
-  const auto features = static_cast<uint32_t>(args.GetInt("features", 64));
-  const auto queries = static_cast<uint32_t>(args.GetInt("queries", 24));
+  const auto features = static_cast<uint32_t>(args.GetCount("features", 64));
+  const auto queries = static_cast<uint32_t>(args.GetCount("queries", 24));
   const auto seed = static_cast<uint64_t>(args.GetInt("seed", 7));
   const bool check = args.GetInt("check", 0) != 0;
   const double max_overhead_pct = args.GetDouble("max-overhead-pct", 0.0);
@@ -2194,7 +2128,7 @@ int Usage() {
       "[--iters I] [--min-speedup X] [--dir D] [--seed S]\n"
       "  bench-scaling [--configs small,large] [--threads 1,2,4] "
       "[--arch AxBxC] [--features K] [--queries N] [--sparsity S] "
-      "[--trees N] [--repeats R] [--seed S] [--min-t2-ratio R] "
+      "[--repeats R] [--seed S] [--min-t2-ratio R] "
       "[--min-t2-ratio-small R] [--obs 1] [--obs-out F] [--out F]\n"
       "  stats         [--in F] [--check 1] [--max-overhead-pct X] "
       "[--trials T] [--features K] [--queries N] [--seed S] [--out F|-]\n");
