@@ -127,9 +127,10 @@ out/release/tools/dnlr_cli bundle bench --min-speedup 10 \
 out/release/tools/dnlr_cli serve-bench --reload-every 25 --requests 100 \
   --binary 1 --out out/serve_reload_binary_ci.json >/dev/null
 
-# Sharded multi-tenant isolation soak: 4 fault-injected shards, 8 tenants,
-# tenant 0 hammering a tight quota, and one shard taken through a
-# correlated-burst outage (shipped and rolled back via model swap).
+# Sharded multi-tenant isolation soak: 4 shards serving the fixture bundle
+# (written to out/serve_shard_ci.bundle), 8 tenants, tenant 0 hammering a
+# tight quota, and one shard taken through a correlated-burst outage
+# (shipped via an ungated model swap, rolled back through the golden gate).
 # serve-bench --shards exits non-zero unless the isolation SLO holds: the
 # abusive tenant is quota-rejected at its configured rate, every other
 # tenant's p99 and error rate stay within budget, the faulted shard

@@ -68,18 +68,16 @@ class RungScorer final : public forest::DocumentScorer {
 };
 
 /// What a fault-injected generation owns: the clean generation whose
-/// scorers it serves, the injector over its top rung, and the ladder.
+/// scorers it serves, the injectors over its faulted rungs, and the ladder.
 struct FaultInjectedGeneration {
-  FaultInjectedGeneration(
-      std::shared_ptr<const serve::DegradationLadder> loaded,
-      const serve::FaultInjectionConfig& faults)
-      : clean(std::move(loaded)),
-        top(clean->rung(0).scorer),
-        injector(&top, faults) {}
+  explicit FaultInjectedGeneration(
+      std::shared_ptr<const serve::DegradationLadder> loaded)
+      : clean(std::move(loaded)) {}
 
   std::shared_ptr<const serve::DegradationLadder> clean;
-  RungScorer top;
-  serve::FaultInjectingScorer injector;
+  // Deques: each injector borrows a stable RungScorer element.
+  std::deque<RungScorer> rungs;
+  std::deque<serve::FaultInjectingScorer> injectors;
   serve::DegradationLadder ladder;
 };
 
@@ -205,36 +203,44 @@ BundleFixture::FaultInjectedLadder(
     const serve::FaultInjectionConfig& faults) const {
   auto clean = LoadLadder(config_.bundle_path);
   if (!clean.ok()) return clean.status();
-  auto generation = std::make_shared<FaultInjectedGeneration>(
-      std::move(clean).value(), faults);
+  auto generation =
+      std::make_shared<FaultInjectedGeneration>(std::move(clean).value());
   for (size_t i = 0; i < generation->clean->num_rungs(); ++i) {
     const serve::Rung& rung = generation->clean->rung(i);
+    const serve::FallibleScorer* scorer = rung.scorer;
+    if (i == 0) {
+      generation->injectors.emplace_back(
+          &generation->rungs.emplace_back(rung.scorer), faults);
+      scorer = &generation->injectors.back();
+    } else if (generation->injectors.front().burst_state() != nullptr) {
+      // Bursts only: the lower rungs share rung 0's schedule and spike.
+      generation->injectors.emplace_back(
+          &generation->rungs.emplace_back(rung.scorer),
+          serve::FaultInjectionConfig{.spike_micros = faults.spike_micros},
+          generation->injectors.front().burst_state());
+      scorer = &generation->injectors.back();
+    }
     DNLR_RETURN_IF_ERROR(generation->ladder.AddRung(
-        rung.name, i == 0 ? &generation->injector : rung.scorer,
-        rung.predicted_us_per_doc));
+        rung.name, scorer, rung.predicted_us_per_doc));
   }
   const serve::DegradationLadder* ladder = &generation->ladder;
   return std::shared_ptr<const serve::DegradationLadder>(std::move(generation),
                                                          ladder);
 }
 
-Status BundleFixture::SwapGated(
-    serve::ServingEngine& engine,
-    std::shared_ptr<const serve::DegradationLadder> candidate) const {
-  const float* probe = dataset_.Row(dataset_.QueryBegin(0));
-  const uint32_t probe_count = std::min(dataset_.QuerySize(0), 64u);
-  return engine.SwapModel(
-      std::move(candidate), [&](const serve::DegradationLadder& ladder) {
-        return serve::RunGoldenSmoke(ladder, probe, probe_count, features_,
-                                     &golden_);
-      });
+serve::ServingEngine::SwapValidator BundleFixture::GoldenGate() const {
+  return [this](const serve::DegradationLadder& ladder) {
+    return serve::RunGoldenSmoke(ladder, dataset_.Row(dataset_.QueryBegin(0)),
+                                 std::min(dataset_.QuerySize(0), 64u),
+                                 features_, &golden_);
+  };
 }
 
 Status BundleFixture::Reload(serve::ServingEngine& engine,
                              const std::string& path) const {
   auto candidate = LoadLadder(path);
   if (!candidate.ok()) return candidate.status();
-  return SwapGated(engine, std::move(candidate).value());
+  return engine.SwapModel(std::move(candidate).value(), GoldenGate());
 }
 
 bool BundleFixture::PoisonRejected(serve::ServingEngine& engine) const {
@@ -243,7 +249,7 @@ bool BundleFixture::PoisonRejected(serve::ServingEngine& engine) const {
     std::fprintf(stderr, "poison: %s\n", candidate.status().ToString().c_str());
     return false;
   }
-  return !SwapGated(engine, std::move(candidate).value()).ok();
+  return !engine.SwapModel(std::move(candidate).value(), GoldenGate()).ok();
 }
 
 // ---- Request loop --------------------------------------------------------

@@ -61,13 +61,14 @@ struct FixtureConfig {
   bool poisoned_twin = false;
 };
 
-/// The bundle every single-engine serve mode serves and hot-swaps: a
+/// The bundle every serve mode serves and hot-swaps: a
 /// LambdaMART teacher and a random {64, 32} student whose layer 0 is
 /// magnitude-pruned to 98% zeros (so it serves on the hybrid sparse/dense
 /// engine) over a synthetic corpus, with measured rung costs (student /
 /// cascade / teacher-subset, clamped non-increasing), packed to disk and
 /// loaded as the first generation. The golden scores of that generation on
-/// query 0 gate every later swap: a candidate must reproduce them bitwise.
+/// query 0 gate every later swap (GoldenGate): a candidate must reproduce
+/// them bitwise.
 class BundleFixture {
  public:
   static Result<std::unique_ptr<BundleFixture>> Create(
@@ -87,14 +88,21 @@ class BundleFixture {
   /// A fresh, ungated generation loaded from `path`.
   Result<std::shared_ptr<const serve::DegradationLadder>> LoadLadder(
       const std::string& path) const;
-  /// A fresh generation of the bundle whose top rung draws faults from
-  /// `faults`: the bundle's rung names and costs, rung 0 wrapped in a
-  /// serve::FaultInjectingScorer, the other rungs as loaded. The handle
+  /// A fresh generation of the bundle that draws faults from `faults`,
+  /// with the bundle's rung names and costs. Rung 0 is wrapped in a
+  /// serve::FaultInjectingScorer. Without bursts the other rungs serve as
+  /// loaded. With burst_trigger_probability > 0 every rung is wrapped over
+  /// rung 0's FaultBurstState: one outage domain, so a burst takes the
+  /// whole generation down. The i.i.d. faults stay on rung 0. The handle
   /// owns everything it scores with. It could never pass the golden gate,
-  /// so it is installed with an ungated SwapModel or a new engine.
+  /// so it is installed with an ungated swap or a new engine.
   Result<std::shared_ptr<const serve::DegradationLadder>> FaultInjectedLadder(
       const serve::FaultInjectionConfig& faults) const;
-  /// LoadLadder(path), then SwapModel through the golden gate.
+  /// The swap validator every swap of this bundle passes, on an engine or
+  /// on a router shard: the candidate must reproduce the initial
+  /// generation's golden scores bitwise. Valid while the fixture lives.
+  serve::ServingEngine::SwapValidator GoldenGate() const;
+  /// LoadLadder(path), then SwapModel through GoldenGate.
   Status Reload(serve::ServingEngine& engine, const std::string& path) const;
   /// Offers the poisoned twin to `engine`: true only when it loaded and the
   /// swap refused it. A twin that cannot be loaded never reached the golden
@@ -104,9 +112,6 @@ class BundleFixture {
  private:
   BundleFixture(const ServeConfig& serve, const FixtureConfig& config);
   Status Pack();
-  Status SwapGated(
-      serve::ServingEngine& engine,
-      std::shared_ptr<const serve::DegradationLadder> candidate) const;
 
   FixtureConfig config_;
   uint32_t features_;

@@ -10,6 +10,22 @@
 namespace dnlr::serve {
 namespace {
 
+/// Virtual points per shard on the consistent-hash ring.
+constexpr uint32_t kVirtualNodes = 64;
+/// Quota for tenants without an explicit SetTenantQuota override. The
+/// default is effectively unlimited: admission control is opt-in.
+constexpr TenantQuota kDefaultQuota{};
+/// A shard whose health score (windowed failure rate +
+/// kSaturationWeight * queue-saturation fraction) reaches this starts
+/// draining.
+constexpr double kQuarantineScore = 0.5;
+constexpr double kSaturationWeight = 0.5;
+/// Live requests allowed onto a probing shard at once.
+constexpr uint32_t kMaxProbesInFlight = 1;
+/// After a shard-side failure, how many further preference-order shards
+/// one request may try before its failure is returned to the caller.
+constexpr uint32_t kMaxFailoverHops = 2;
+
 // Relaxed increment: router counters are independent statistics, never a
 // synchronization point (see RouterCounters).
 void Bump(std::atomic<uint64_t>& counter) {
@@ -61,17 +77,14 @@ ShardedRouter::ShardedRouter(
     : config_(config),
       engine_config_(engine_config),
       clock_(clock),
-      ring_(config.virtual_nodes),
+      ring_(kVirtualNodes),
       metric_prefix_("router" + std::to_string(NextRouterInstance()) +
                      ".tenant") {
   DNLR_CHECK(clock_ != nullptr);
   DNLR_CHECK_GE(ladders.size(), 1u);
   DNLR_CHECK_GE(config_.health_window_micros, 1u);
   DNLR_CHECK_GE(config_.min_window_requests, 1u);
-  DNLR_CHECK_GT(config_.quarantine_score, 0.0);
-  DNLR_CHECK_GE(config_.saturation_weight, 0.0);
   DNLR_CHECK_GE(config_.probe_successes_to_readmit, 1u);
-  DNLR_CHECK_GE(config_.max_probes_in_flight, 1u);
   const uint64_t now = clock_->NowMicros();
   shards_.reserve(ladders.size());
   for (size_t i = 0; i < ladders.size(); ++i) {
@@ -95,11 +108,6 @@ uint32_t ShardedRouter::PrimaryShardFor(uint64_t tenant) const {
   return ring_.ShardFor(tenant);
 }
 
-std::vector<uint32_t> ShardedRouter::PreferenceOrderFor(
-    uint64_t tenant) const {
-  return ring_.PreferenceOrder(tenant);
-}
-
 void ShardedRouter::SetTenantQuota(uint64_t tenant, const TenantQuota& quota) {
   Tenant& record = GetTenant(tenant);
   auto bucket = std::make_shared<common::TokenBucket>(quota.tokens_per_second,
@@ -120,8 +128,7 @@ ShardedRouter::Tenant& ShardedRouter::GetTenant(uint64_t id) {
   if (slot == nullptr) {
     slot = std::make_unique<Tenant>();
     slot->bucket = std::make_shared<common::TokenBucket>(
-        config_.default_quota.tokens_per_second, config_.default_quota.burst,
-        clock_);
+        kDefaultQuota.tokens_per_second, kDefaultQuota.burst, clock_);
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
     const std::string prefix = metric_prefix_ + std::to_string(id);
     slot->requests = &registry.GetCounter(prefix + ".requests");
@@ -181,7 +188,7 @@ double ShardedRouter::HealthScoreLocked(const Shard& shard) const {
       std::min(1.0, static_cast<double>(shard.engine->queue_depth()) /
                         static_cast<double>(engine_config_.queue_capacity));
   return FailureRateLocked(shard.health) +
-         config_.saturation_weight * saturation;
+         kSaturationWeight * saturation;
 }
 
 void ShardedRouter::AdvanceStateLocked(Shard& shard, uint64_t now) {
@@ -192,7 +199,7 @@ void ShardedRouter::AdvanceStateLocked(Shard& shard, uint64_t now) {
       const uint64_t total = health.cur_ok + health.cur_fail +
                              health.prev_ok + health.prev_fail;
       if (total >= config_.min_window_requests &&
-          HealthScoreLocked(shard) >= config_.quarantine_score) {
+          HealthScoreLocked(shard) >= kQuarantineScore) {
         health.state = ShardState::kDraining;
         health.state_until = now + config_.drain_micros;
         Bump(counters_.drains);
@@ -237,7 +244,7 @@ int ShardedRouter::PickShard(const std::vector<uint32_t>& prefer,
       case ShardState::kQuarantined:
         continue;
       case ShardState::kProbing:
-        if (shard.health.probes_in_flight < config_.max_probes_in_flight) {
+        if (shard.health.probes_in_flight < kMaxProbesInFlight) {
           ++shard.health.probes_in_flight;
           *is_probe = true;
           Bump(counters_.probes);
@@ -294,11 +301,6 @@ ShardState ShardedRouter::shard_state(size_t shard) const {
 double ShardedRouter::shard_failure_rate(size_t shard) const {
   common::MutexLock lock(state_mu_);
   return FailureRateLocked(shards_[shard].health);
-}
-
-double ShardedRouter::shard_health_score(size_t shard) const {
-  common::MutexLock lock(state_mu_);
-  return HealthScoreLocked(shards_[shard]);
 }
 
 ShardedRouter::Response ShardedRouter::ScoreSync(uint64_t tenant,
@@ -364,7 +366,7 @@ ShardedRouter::Response ShardedRouter::ScoreSync(uint64_t tenant,
     RecordOutcome(shard, shard_fault, is_probe, clock_->NowMicros());
 
     const bool can_retry =
-        shard_fault && !forced && fail_hops < config_.max_failover_hops &&
+        shard_fault && !forced && fail_hops < kMaxFailoverHops &&
         static_cast<size_t>(hop) + 1 < prefer.size() &&
         !request.deadline.Expired(*clock_);
     if (!serve.status.ok() && can_retry) {
@@ -405,14 +407,6 @@ TenantSlo ShardedRouter::TenantSloSnapshot(uint64_t tenant) {
                         : static_cast<double>(slo.quota_rejected) /
                               static_cast<double>(slo.requests);
   return slo;
-}
-
-std::vector<uint64_t> ShardedRouter::KnownTenants() const {
-  common::MutexLock lock(tenant_mu_);
-  std::vector<uint64_t> ids;
-  ids.reserve(tenants_.size());
-  for (const auto& [id, record] : tenants_) ids.push_back(id);
-  return ids;
 }
 
 }  // namespace dnlr::serve

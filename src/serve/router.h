@@ -44,23 +44,16 @@ struct TenantQuota {
   double burst = 1e5;
 };
 
+/// The lifecycle timings and thresholds a deployment tunes. The rest of
+/// the router's policy (ring points, default quota, quarantine score,
+/// saturation weight, probe and failover limits) is fixed in router.cc.
 struct RouterConfig {
-  /// Virtual points per shard on the consistent-hash ring.
-  uint32_t virtual_nodes = 64;
-  /// Quota for tenants without an explicit SetTenantQuota override. The
-  /// default is effectively unlimited: admission control is opt-in.
-  TenantQuota default_quota;
   /// Rolling health window: failure rate is measured over the current and
   /// previous windows of this length.
   uint64_t health_window_micros = 50'000;
   /// Minimum outcomes in the rolling window before the failure rate is
   /// trusted (a single early fault must not quarantine a cold shard).
   uint32_t min_window_requests = 16;
-  /// A shard whose health score (windowed failure rate +
-  /// saturation_weight * queue-saturation fraction) reaches this starts
-  /// draining.
-  double quarantine_score = 0.5;
-  double saturation_weight = 0.5;
   /// Drain length: how long a draining shard may finish in-flight work
   /// before the fence hardens into quarantine.
   uint64_t drain_micros = 20'000;
@@ -69,11 +62,6 @@ struct RouterConfig {
   /// Consecutive successful probes that readmit a probing shard; one
   /// failed probe re-quarantines it.
   uint32_t probe_successes_to_readmit = 3;
-  /// Live requests allowed onto a probing shard at once.
-  uint32_t max_probes_in_flight = 1;
-  /// After a shard-side failure, how many further preference-order shards
-  /// one request may try before its failure is returned to the caller.
-  uint32_t max_failover_hops = 2;
 };
 
 /// Point-in-time copy of the router's own counters (admission, routing and
@@ -230,15 +218,10 @@ class ShardedRouter {
   size_t num_shards() const { return shards_.size(); }
   /// The shard `tenant` hashes to when every shard is healthy.
   uint32_t PrimaryShardFor(uint64_t tenant) const;
-  /// Failover preference order for `tenant` (primary first).
-  std::vector<uint32_t> PreferenceOrderFor(uint64_t tenant) const;
 
   ShardState shard_state(size_t shard) const DNLR_EXCLUDES(state_mu_);
   /// Windowed failure rate in [0, 1] of shard `shard` right now.
   double shard_failure_rate(size_t shard) const DNLR_EXCLUDES(state_mu_);
-  /// failure rate + saturation_weight * queue fraction — the quantity
-  /// compared against quarantine_score.
-  double shard_health_score(size_t shard) const DNLR_EXCLUDES(state_mu_);
 
   ServingEngine& shard_engine(size_t shard) { return *shards_[shard].engine; }
   const ServingEngine& shard_engine(size_t shard) const {
@@ -246,12 +229,9 @@ class ShardedRouter {
   }
 
   const RouterCounters& counters() const { return counters_; }
-  Clock& clock() const { return *clock_; }
 
   /// SLO rollup for one tenant, assembled from its registry metrics.
   TenantSlo TenantSloSnapshot(uint64_t tenant) DNLR_EXCLUDES(tenant_mu_);
-  /// Every tenant id the router has seen (quota overrides included).
-  std::vector<uint64_t> KnownTenants() const DNLR_EXCLUDES(tenant_mu_);
 
   /// Stops every shard engine (idempotent; also run by the destructor).
   void Stop();

@@ -5,7 +5,8 @@
 // gated, the gate evaluator and the JSON-validating report writer, the
 // response summary, the request loop over both arrival sources, and the
 // bundle fixture: its golden swap gate (which an unloadable poison never
-// reaches), its hybrid-engine top rung and its fault-injected generation.
+// reaches, and which router shard swaps pass too), its hybrid-engine top
+// rung and its fault-injected generation, with and without bursts.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +27,7 @@
 #include "serve/engine.h"
 #include "serve/fault_injection.h"
 #include "serve/ladder.h"
+#include "serve/router.h"
 #include "serve/scorer.h"
 
 namespace dnlr::replay {
@@ -446,7 +448,8 @@ TEST(BundleFixtureTest, AnUnloadablePoisonIsNotRejectedAndFailsTheSoakGate) {
 }
 
 /// A small fixture bundled under a fresh temporary directory `name`.
-std::unique_ptr<BundleFixture> SmallFixture(const std::string& name) {
+std::unique_ptr<BundleFixture> SmallFixture(const std::string& name,
+                                            bool poisoned_twin = false) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / name;
   std::filesystem::remove_all(dir);
@@ -456,6 +459,7 @@ std::unique_ptr<BundleFixture> SmallFixture(const std::string& name) {
   FixtureConfig fc;
   fc.trees = 2;
   fc.bundle_path = (dir / "model.bundle").string();
+  fc.poisoned_twin = poisoned_twin;
   auto fixture = BundleFixture::Create(config, fc);
   EXPECT_TRUE(fixture.ok()) << fixture.status().ToString();
   return fixture.ok() ? std::move(fixture).value() : nullptr;
@@ -523,6 +527,74 @@ TEST(BundleFixtureTest, FaultInjectedGenerationFaultsOnlyItsTopRung) {
     // Bitwise: the same bytes, not merely close floats.
     EXPECT_EQ(std::memcmp(got.data(), want.data(), count * sizeof(float)), 0);
   }
+  std::filesystem::remove_all(
+      std::filesystem::path(fixture->bundle_path()).parent_path());
+}
+
+// With bursts every rung draws from rung 0's schedule, so a burst fails
+// the whole generation, not only its top rung; names and costs stay the
+// bundle's.
+TEST(BundleFixtureTest, BurstTakesTheWholeFaultInjectedGenerationDown) {
+  const auto fixture = SmallFixture("replay_driver_test_bursts");
+  ASSERT_NE(fixture, nullptr);
+  serve::FaultInjectionConfig faults;
+  faults.burst_trigger_probability = 1.0;
+  faults.burst_length = 4;
+  auto faulty = fixture->FaultInjectedLadder(faults);
+  ASSERT_TRUE(faulty.ok()) << faulty.status().ToString();
+  const serve::DegradationLadder& clean = *fixture->initial_ladder();
+  const serve::DegradationLadder& ladder = **faulty;
+  ASSERT_EQ(ladder.num_rungs(), clean.num_rungs());
+
+  const data::Dataset& data = fixture->dataset();
+  const float* docs = data.Row(data.QueryBegin(0));
+  const uint32_t count = data.QuerySize(0);
+  std::vector<float> out(count);
+  for (size_t r = 0; r < ladder.num_rungs(); ++r) {
+    SCOPED_TRACE(r);
+    EXPECT_EQ(ladder.rung(r).name, clean.rung(r).name);
+    EXPECT_EQ(ladder.rung(r).predicted_us_per_doc,
+              clean.rung(r).predicted_us_per_doc);
+    EXPECT_FALSE(ladder.rung(r)
+                     .scorer->TryScore(docs, count, data.num_features(),
+                                       out.data())
+                     .ok());
+  }
+  std::filesystem::remove_all(
+      std::filesystem::path(fixture->bundle_path()).parent_path());
+}
+
+// A router shard swap passes the same golden gate as an engine reload: the
+// poisoned twin is refused and leaves the shard on its generation, a fresh
+// load of the clean bundle is accepted.
+TEST(BundleFixtureTest, ShardSwapsPassTheGoldenGate) {
+  const auto fixture =
+      SmallFixture("replay_driver_test_shard_swaps", /*poisoned_twin=*/true);
+  ASSERT_NE(fixture, nullptr);
+  ServeConfig config;
+  config.workers = 1;
+  serve::ShardedRouter router({fixture->initial_ladder(),
+                               fixture->initial_ladder()},
+                              config.Engine(), serve::RouterConfig{});
+  const uint64_t version = router.shard_engine(1).model_version();
+
+  auto poison = fixture->LoadLadder(fixture->poison_path());
+  ASSERT_TRUE(poison.ok()) << poison.status().ToString();
+  EXPECT_FALSE(router
+                   .SwapModelOnShard(1, std::move(poison).value(),
+                                     fixture->GoldenGate())
+                   .ok());
+  EXPECT_EQ(router.shard_engine(1).model_version(), version);
+  EXPECT_EQ(router.shard_engine(1).counters().Snapshot().swaps_rejected, 1u);
+
+  auto clean = fixture->LoadLadder(fixture->bundle_path());
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  EXPECT_TRUE(router
+                  .SwapModelOnShard(1, std::move(clean).value(),
+                                    fixture->GoldenGate())
+                  .ok());
+  EXPECT_GT(router.shard_engine(1).model_version(), version);
+  router.Stop();
   std::filesystem::remove_all(
       std::filesystem::path(fixture->bundle_path()).parent_path());
 }

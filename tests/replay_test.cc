@@ -63,7 +63,9 @@ TEST(ZipfSamplerTest, PmfSumsToOneAndDecreases) {
   double total = 0.0;
   for (uint32_t i = 0; i < zipf.size(); ++i) {
     total += zipf.Pmf(i);
-    if (i > 0) EXPECT_LT(zipf.Pmf(i), zipf.Pmf(i - 1));
+    if (i > 0) {
+      EXPECT_LT(zipf.Pmf(i), zipf.Pmf(i - 1));
+    }
   }
   EXPECT_NEAR(total, 1.0, 1e-12);
 }
@@ -137,7 +139,9 @@ TEST(WorkloadGeneratorTest, ArrivalStreamInvariants) {
     EXPECT_LT(arrival.query, 40u);
     EXPECT_TRUE(default_mix_sizes.count(arrival.candidate_docs) > 0)
         << arrival.candidate_docs;
-    if (!first) EXPECT_GT(arrival.due_micros, previous_due);
+    if (!first) {
+      EXPECT_GT(arrival.due_micros, previous_due);
+    }
     previous_due = arrival.due_micros;
     first = false;
   }

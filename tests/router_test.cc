@@ -242,8 +242,6 @@ RouterConfig FastLifecycleConfig() {
   RouterConfig config;
   config.health_window_micros = 1'000'000;
   config.min_window_requests = 4;
-  config.quarantine_score = 0.5;
-  config.saturation_weight = 0.5;
   config.drain_micros = 10'000;
   config.quarantine_micros = 50'000;
   config.probe_successes_to_readmit = 3;
@@ -444,8 +442,6 @@ TEST(ShardedRouterIsolationTest, AbusiveTenantAndShardOutageStayContained) {
   RouterConfig config;
   config.health_window_micros = 20'000;
   config.min_window_requests = 8;
-  config.quarantine_score = 0.5;
-  config.saturation_weight = 0.5;
   config.drain_micros = 2'000;
   config.quarantine_micros = 10'000;
   config.probe_successes_to_readmit = 2;

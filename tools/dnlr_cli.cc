@@ -21,7 +21,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -111,6 +110,9 @@ double ParseNumber(const std::string& text, const std::string& flag,
   return value;
 }
 
+/// The smallest positive double: Args::GetDouble's lower bound for a rate.
+constexpr double kPositive = std::numeric_limits<double>::min();
+
 /// Strict "--name value" parser. A flag without a value, a malformed
 /// number, and (after RejectUnread) a flag the command never read all exit
 /// 2, so a misspelled or garbled gate bound cannot pass silently.
@@ -140,6 +142,21 @@ class Args {
   double GetDouble(const std::string& key, double fallback) const {
     const std::string* value = Find(key);
     return value != nullptr ? ParseNumber(*value, "--" + key) : fallback;
+  }
+  /// GetDouble bounded to [min, max], or exit 2: a probability outside
+  /// [0, 1] or a rate at or below 0 would abort the run part-way. A `min`
+  /// of kPositive reads as "> 0".
+  double GetDouble(const std::string& key, double fallback, double min,
+                   double max = std::numeric_limits<double>::infinity()) const {
+    const double value = GetDouble(key, fallback);
+    if (min == kPositive && value < min) {
+      UsageError("--%s must be > 0, got %g", key.c_str(), value);
+    }
+    if (value < min || value > max) {
+      UsageError("--%s must be in [%g, %g], got %g", key.c_str(), min, max,
+                 value);
+    }
+    return value;
   }
   int GetInt(const std::string& key, int fallback) const {
     const std::string* value = Find(key);
@@ -520,9 +537,9 @@ replay::ServeConfig ParseServeConfig(const Args& args,
   config.queries = args.GetCount("queries", config.queries);
   config.features = args.GetCount("features", config.features);
   config.workers = args.GetCount("workers", config.workers, kMaxThreadCount);
-  config.deadline_us = args.GetInt("deadline-us", config.deadline_us);
+  config.deadline_us = args.GetCount("deadline-us", config.deadline_us);
   config.seed = args.GetInt("seed", config.seed);
-  config.queue_capacity = args.GetInt("queue", config.queue_capacity);
+  config.queue_capacity = args.GetCount("queue", config.queue_capacity);
   return config;
 }
 
@@ -662,36 +679,41 @@ void RunTenantTraffic(serve::ShardedRouter& router, const data::Dataset& data,
 }
 
 /// Multi-tenant isolation soak (`serve-bench --shards N`): a ShardedRouter
-/// over N fault-injected shards, M tenant threads replaying Zipfian traffic,
-/// one abusive tenant hammering its quota, and a correlated-burst outage on
-/// one shard mid-soak (shipped and later rolled back via SwapModelOnShard).
-/// Gated by replay::ShardedGates; a tenant's p99 budget is --p99-ratio x its
-/// no-abuse baseline (at least --p99-floor-us), the abusive tenant's
-/// admission budget --admit-slack x (rate x duration + burst).
+/// whose N shards serve the fixture bundle, M tenant threads replaying
+/// Zipfian traffic, one abusive tenant hammering its quota, and a
+/// correlated-burst outage on one shard mid-soak (a fault-injected
+/// generation shipped ungated via SwapModelOnShard, later rolled back to a
+/// fresh load through the golden gate). Gated by replay::ShardedGates; a
+/// tenant's p99 budget is --p99-ratio x its no-abuse baseline (at least
+/// --p99-floor-us), the abusive tenant's admission budget --admit-slack x
+/// (rate x duration + burst).
 int CmdServeBenchSharded(const Args& args) {
   const replay::ServeConfig config = ParseServeConfig(
       args, {.workers = 2, .deadline_us = 50'000, .queue_capacity = 64});
+  const uint64_t seed = config.seed;
   const auto shards = static_cast<size_t>(
       args.GetInRange("shards", 4, 2, kMaxThreadCount));
-  const auto tenants = static_cast<uint64_t>(
-      args.GetInRange("tenants", 8, 2, kMaxThreadCount));
-  const int64_t abusive_tenant = args.GetInt("abusive-tenant", 0);
+  const int tenant_count = args.GetInRange("tenants", 8, 2, kMaxThreadCount);
+  const auto tenants = static_cast<uint64_t>(tenant_count);
+  const int64_t abusive_tenant =
+      args.GetInRange("abusive-tenant", 0, 0, tenant_count - 1);
   const auto soak_ms = static_cast<uint64_t>(args.GetCount("soak-ms", 2000));
   const auto baseline_ms = static_cast<uint64_t>(
       args.GetCount("baseline-ms", static_cast<int>(std::max<uint64_t>(
                                        500, soak_ms / 4))));
   const auto pace_us =
       static_cast<uint64_t>(args.GetInRange("pace-us", 1000, 0));
-  const double quota_rate = args.GetDouble("quota-rate", 500.0);
-  const double quota_burst = args.GetDouble("quota-burst", 50.0);
-  const double fault_rate = args.GetDouble("fault-rate", 0.2);
+  const double quota_rate = args.GetDouble("quota-rate", 500.0, kPositive);
+  const double quota_burst = args.GetDouble("quota-burst", 50.0, 1.0);
   // Defaults chosen so the outage dominates the faulted window: at trigger
-  // 0.05 and length 300 about 94% of the shard's batches during the faulty
+  // 0.05 and length 300 most of the shard's batches during the faulty
   // generation land inside a burst, which is what forces quarantine; the
   // rollback swap then lets the half-open probes readmit the shard.
-  const double burst_trigger = args.GetDouble("burst-trigger", 0.05);
-  const auto burst_len =
-      static_cast<uint32_t>(args.GetInt("burst-len", 300));
+  const serve::FaultInjectionConfig faults{
+      .transient_fault_probability = args.GetDouble("fault-rate", 0.2, 0, 1),
+      .burst_trigger_probability = args.GetDouble("burst-trigger", 0.05, 0, 1),
+      .burst_length = static_cast<uint32_t>(args.GetCount("burst-len", 300)),
+      .seed = seed + 7777};
   const double p99_ratio = args.GetDouble("p99-ratio", 1.5);
   const double p99_floor_us = args.GetDouble("p99-floor-us", 5000.0);
   const double zipf_exponent = args.GetDouble("zipf-exponent", 1.1);
@@ -699,61 +721,19 @@ int CmdServeBenchSharded(const Args& args) {
   outcome.max_error_rate = args.GetDouble("max-error-rate", 0.01);
   const double admit_slack = args.GetDouble("admit-slack", 2.0);
   const std::string out = args.Get("out", "out/serve_shard_ci.json");
+  // The bundle lands beside the report.
+  const replay::FixtureConfig fc{
+      .bundle_path =
+          std::filesystem::path(out).replace_extension(".bundle").string()};
   args.RejectUnread();
-  const auto features = static_cast<uint32_t>(config.features);
-  const uint64_t seed = config.seed;
-
-  // Synthetic corpus + per-shard model generations: each shard serves its
-  // own small MLP (a distinct generation), all sharing one normalizer and a
-  // tiny shared floor rung.
-  const data::Dataset dataset = replay::SyntheticCorpus(
-      static_cast<uint32_t>(config.queries), features, seed);
-  data::ZNormalizer normalizer;
-  normalizer.Fit(dataset);
+  auto created = replay::BundleFixture::Create(config, fc);
+  if (!created.ok()) return Fail(created.status());
+  const replay::BundleFixture& fixture = **created;
+  const data::Dataset& dataset = fixture.dataset();
   const replay::ZipfSampler zipf(dataset.num_queries(), zipf_exponent);
-
-  const predict::Architecture strong_arch(features, {64, 32});
-  std::deque<nn::Mlp> strong_mlps;  // deques: scorers borrow stable elements
-  std::deque<nn::NeuralScorer> strong_scorers;
-  for (size_t s = 0; s < shards; ++s) {
-    strong_scorers.emplace_back(strong_mlps.emplace_back(strong_arch, seed + s),
-                                &normalizer);
-  }
-  const nn::Mlp floor_mlp(predict::Architecture(features, {16}), seed + 1000);
-  const nn::NeuralScorer floor_scorer(floor_mlp, &normalizer);
-
-  // Every rung of every shard goes through a FaultInjectingScorer. The
-  // clean generation's injectors are pass-throughs (all probabilities 0);
-  // the faulted generation adds i.i.d. transient faults on the strong rung
-  // plus a correlated burst schedule SHARED by both rungs — one outage
-  // domain, so a triggered burst takes the whole shard down (what the
-  // quarantine lifecycle exists for). Nominal rung costs: with 50 ms
-  // budgets rung choice is never the bottleneck, and fixed costs keep the
-  // setup instant.
-  std::vector<std::unique_ptr<serve::FaultInjectingScorer>> injectors;
-  const auto make_ladder = [&](const forest::DocumentScorer* strong,
-                               const serve::FaultInjectionConfig& strong_faults,
-                               const serve::FaultInjectionConfig& floor_faults,
-                               std::shared_ptr<serve::FaultBurstState> burst) {
-    auto ladder = std::make_shared<serve::DegradationLadder>();
-    injectors.push_back(std::make_unique<serve::FaultInjectingScorer>(
-        strong, strong_faults, burst));
-    const Status strong_rung =
-        ladder->AddRung("dense-nn", injectors.back().get(), 4.0);
-    injectors.push_back(std::make_unique<serve::FaultInjectingScorer>(
-        &floor_scorer, floor_faults, burst));
-    const Status floor_rung =
-        ladder->AddRung("tiny-nn", injectors.back().get(), 0.5);
-    DNLR_CHECK(strong_rung.ok() && floor_rung.ok());
-    return ladder;
-  };
-  std::vector<std::shared_ptr<const serve::DegradationLadder>> clean_ladders;
-  for (size_t s = 0; s < shards; ++s) {
-    serve::FaultInjectionConfig quiet;
-    quiet.seed = seed + s;
-    clean_ladders.push_back(
-        make_ladder(&strong_scorers[s], quiet, quiet, nullptr));
-  }
+  // Every shard of both routers starts on the bundle's first generation.
+  const std::vector<std::shared_ptr<const serve::DegradationLadder>> initial(
+      shards, fixture.initial_ladder());
 
   serve::RouterConfig rc;
   rc.health_window_micros = 100'000;
@@ -772,7 +752,7 @@ int CmdServeBenchSharded(const Args& args) {
                static_cast<unsigned long long>(baseline_ms));
   std::vector<double> baseline_p99(tenants, 0.0);
   {
-    serve::ShardedRouter baseline(clean_ladders, sc, rc);
+    serve::ShardedRouter baseline(initial, sc, rc);
     RunTenantTraffic(baseline, dataset, zipf, tenants, /*abusive_tenant=*/-1,
                      pace_us, config.deadline_us, baseline_ms, seed);
     baseline.Stop();
@@ -785,20 +765,13 @@ int CmdServeBenchSharded(const Args& args) {
   // ignores pacing; one shard (the primary of a well-behaved tenant, so
   // failover is exercised) is swapped to a burst-faulty model generation
   // at 20% of the soak and rolled back at 70%.
-  serve::ShardedRouter router(clean_ladders, sc, rc);
+  serve::ShardedRouter router(initial, sc, rc);
   router.SetTenantQuota(static_cast<uint64_t>(abusive_tenant),
                         serve::TenantQuota{quota_rate, quota_burst});
   const uint64_t victim_tenant = abusive_tenant == 0 ? 1 : 0;
   const uint32_t faulted = router.PrimaryShardFor(victim_tenant);
-  serve::FaultInjectionConfig strong_faults;
-  strong_faults.transient_fault_probability = fault_rate;
-  strong_faults.seed = seed + 7777;
-  serve::FaultInjectionConfig floor_faults;  // bursts only on the floor
-  floor_faults.seed = seed + 7778;
-  const auto faulty_ladder = make_ladder(
-      &strong_scorers[faulted], strong_faults, floor_faults,
-      std::make_shared<serve::FaultBurstState>(burst_trigger, burst_len,
-                                               seed + 8888));
+  auto faulty = fixture.FaultInjectedLadder(faults);
+  if (!faulty.ok()) return Fail(faulty.status());
 
   std::fprintf(stderr,
                "soak: %llu ms, abusive tenant %lld (quota %.0f/s burst %.0f),"
@@ -809,10 +782,18 @@ int CmdServeBenchSharded(const Args& args) {
   uint64_t failed_swaps = 0;
   std::thread orchestrator([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(soak_ms / 5));
-    if (!router.SwapModelOnShard(faulted, faulty_ladder).ok()) ++failed_swaps;
+    // Ungated: the fault-injected generation could never pass the gate.
+    if (!router.SwapModelOnShard(faulted, *faulty).ok()) ++failed_swaps;
     std::this_thread::sleep_for(
         std::chrono::milliseconds(soak_ms / 2));  // 20% + 50% = 70%
-    if (!router.SwapModelOnShard(faulted, clean_ladders[faulted]).ok()) {
+    auto rollback = fixture.LoadLadder(fixture.bundle_path());
+    const Status rolled_back =
+        rollback.ok() ? router.SwapModelOnShard(faulted,
+                                                std::move(rollback).value(),
+                                                fixture.GoldenGate())
+                      : rollback.status();
+    if (!rolled_back.ok()) {
+      std::fprintf(stderr, "rollback: %s\n", rolled_back.ToString().c_str());
       ++failed_swaps;
     }
   });
@@ -842,12 +823,14 @@ int CmdServeBenchSharded(const Args& args) {
        << ", \"deadline_us\": " << config.deadline_us
        << ", \"quota_rate\": " << FormatFixed(quota_rate, 1)
        << ", \"quota_burst\": " << FormatFixed(quota_burst, 1)
-       << ", \"fault_rate\": " << FormatFixed(fault_rate, 3)
-       << ", \"burst_trigger\": " << FormatFixed(burst_trigger, 4)
-       << ", \"burst_len\": " << burst_len
+       << ", \"fault_rate\": "
+       << FormatFixed(faults.transient_fault_probability, 3)
+       << ", \"burst_trigger\": "
+       << FormatFixed(faults.burst_trigger_probability, 4)
+       << ", \"burst_len\": " << faults.burst_length
        << ", \"faulted_shard\": " << faulted
        << ", \"workers\": " << config.workers << ", \"seed\": " << seed
-       << "},\n";
+       << ", \"bundle\": \"" << fixture.bundle_path() << "\"},\n";
   json << "  \"shards\": [\n";
   for (size_t s = 0; s < shards; ++s) {
     const serve::ServeCountersSnapshot engine =
@@ -930,16 +913,16 @@ int CmdSoakBench(const Args& args) {
   outcome.max_p99_us = args.GetDouble(
       "max-p99-us", static_cast<double>(config.deadline_us));
   const serve::ScoreCacheConfig cache_config{
-      .capacity = static_cast<size_t>(args.GetInt("cache-capacity", 4096)),
-      .num_shards = static_cast<size_t>(args.GetInt("cache-shards", 8))};
+      .capacity = static_cast<size_t>(args.GetCount("cache-capacity", 4096)),
+      .num_shards = static_cast<size_t>(args.GetCount("cache-shards", 8))};
   const serve::FaultInjectionConfig fault_config{
-      .transient_fault_probability = args.GetDouble("fault-rate", 0.3),
+      .transient_fault_probability = args.GetDouble("fault-rate", 0.3, 0, 1),
       .latency_spike_probability = 0.2, .spike_micros = 1000,
       .non_finite_probability = 0.05,
       .seed = static_cast<uint64_t>(config.seed) + 777};
   replay::WorkloadConfig wc;
   wc.zipf_exponent = args.GetDouble("zipf-exponent", 1.1);
-  wc.base_qps = args.GetDouble("qps", 600.0);
+  wc.base_qps = args.GetDouble("qps", 600.0, kPositive);
   wc.diurnal_amplitude = args.GetDouble("diurnal-amplitude", 0.5);
   // Default period: the soak covers 1.5 compressed "days", so both the
   // peak and the trough are exercised.
@@ -947,7 +930,7 @@ int CmdSoakBench(const Args& args) {
       static_cast<uint64_t>(args.GetCount(
           "diurnal-period-ms", static_cast<int>(duration_ms * 2 / 3))) *
       1000;
-  wc.burst_probability = args.GetDouble("burst-probability", 0.003);
+  wc.burst_probability = args.GetDouble("burst-probability", 0.003, 0, 1);
   wc.burst_multiplier = 3.0;
   wc.burst_duration_micros = 150'000;
   wc.seed = config.seed;
@@ -1204,10 +1187,11 @@ int CmdServeBench(const Args& args) {
       args, {.queries = 80, .features = 136, .deadline_us = 6000});
   const int requests = args.GetCount("requests", 300);
   serve::FaultInjectionConfig fic;
-  fic.transient_fault_probability = args.GetDouble("fault-rate", 0.2);
-  fic.latency_spike_probability = args.GetDouble("spike-rate", 0.1);
-  fic.spike_micros = static_cast<uint64_t>(args.GetInt("spike-us", 2000));
-  fic.non_finite_probability = args.GetDouble("nan-rate", 0.05);
+  fic.transient_fault_probability = args.GetDouble("fault-rate", 0.2, 0, 1);
+  fic.latency_spike_probability = args.GetDouble("spike-rate", 0.1, 0, 1);
+  fic.spike_micros =
+      static_cast<uint64_t>(args.GetInRange("spike-us", 2000, 0));
+  fic.non_finite_probability = args.GetDouble("nan-rate", 0.05, 0, 1);
   fic.seed = config.seed;
   const std::string out = args.Get("out", "out/serve_latency.json");
   // The bundle lands beside the report.
@@ -2114,7 +2098,8 @@ int Usage() {
       "[--soak-ms D] [--baseline-ms D] [--pace-us U] [--quota-rate R] "
       "[--quota-burst B] [--fault-rate P] [--burst-trigger P] [--burst-len N]"
       " [--zipf-exponent S] [--p99-ratio X] [--p99-floor-us U] "
-      "[--max-error-rate P] [--admit-slack X]\n"
+      "[--max-error-rate P] [--admit-slack X]: every shard serves the "
+      "fixture bundle, written beside --out\n"
       "  soak-bench    [--duration-ms D] [--qps R] [--reload-every-ms D] "
       "[--poison-every N] [--trees N] [--bundle F] [--fault-rate P] "
       "[--zipf-exponent S] [--diurnal-amplitude A] [--diurnal-period-ms D] "
