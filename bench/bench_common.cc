@@ -7,6 +7,7 @@
 #include <map>
 #include <sstream>
 
+#include "common/rng.h"
 #include "common/timer.h"
 #include "data/synthetic.h"
 #include "prune/schedule.h"
@@ -156,49 +157,62 @@ nn::Mlp GetStudent(const std::string& tag, const data::DatasetSplits& splits,
   return student;
 }
 
+namespace {
+
+/// Loads a calibrated time predictor from the cache file `name`, or runs
+/// `calibrate` and saves its result there.
+template <typename Predictor, typename Calibrate>
+Predictor LoadOrCalibrate(const std::string& name, Calibrate&& calibrate) {
+  const std::string path = CachePath(name, ".txt");
+  if (fs::exists(path)) {
+    std::ifstream file(path);
+    std::ostringstream buffer;
+    buffer << file.rdbuf();
+    auto loaded = Predictor::Deserialize(buffer.str());
+    if (loaded.ok()) return std::move(loaded).value();
+  }
+  std::fprintf(stderr, "[bench] calibrating %s ...\n", name.c_str());
+  Predictor predictor = calibrate();
+  std::ofstream file(path);
+  file << predictor.Serialize();
+  return predictor;
+}
+
+}  // namespace
+
 const predict::DenseTimePredictor& DensePredictor() {
-  static const predict::DenseTimePredictor predictor = [] {
-    const std::string path = CachePath("dense_predictor", ".txt");
-    if (fs::exists(path)) {
-      std::ifstream file(path);
-      std::ostringstream buffer;
-      buffer << file.rdbuf();
-      auto loaded = predict::DenseTimePredictor::Deserialize(buffer.str());
-      if (loaded.ok()) return std::move(loaded).value();
-    }
-    std::fprintf(stderr, "[bench] calibrating dense time predictor ...\n");
-    predict::DenseCalibrationConfig config;
-    config.m_values = {1, 2, 4, 8, 16, 25, 50, 100, 200, 400, 800};
-    config.k_values = {16, 32, 64, 136, 220, 400, 800};
-    config.n_values = {16, 64, 256, 1000};
-    config.repeats = 3;
-    predict::DenseTimePredictor predictor =
-        predict::DenseTimePredictor::Calibrate(config);
-    std::ofstream file(path);
-    file << predictor.Serialize();
-    return predictor;
-  }();
+  static const predict::DenseTimePredictor predictor =
+      LoadOrCalibrate<predict::DenseTimePredictor>("dense_predictor", [] {
+        predict::DenseCalibrationConfig config;
+        config.m_values = {1, 2, 4, 8, 16, 25, 50, 100, 200, 400, 800};
+        config.k_values = {16, 32, 64, 136, 220, 400, 800};
+        config.n_values = {16, 64, 256, 1000};
+        config.repeats = 3;
+        return predict::DenseTimePredictor::Calibrate(config);
+      });
   return predictor;
 }
 
 const predict::SparseTimePredictor& SparsePredictor() {
-  static const predict::SparseTimePredictor predictor = [] {
-    const std::string path = CachePath("sparse_predictor", ".txt");
-    if (fs::exists(path)) {
-      std::ifstream file(path);
-      std::ostringstream buffer;
-      buffer << file.rdbuf();
-      auto loaded = predict::SparseTimePredictor::Deserialize(buffer.str());
-      if (loaded.ok()) return std::move(loaded).value();
-    }
-    std::fprintf(stderr, "[bench] calibrating sparse time predictor ...\n");
-    predict::SparseTimePredictor predictor =
-        predict::SparseTimePredictor::Calibrate();
-    std::ofstream file(path);
-    file << predictor.Serialize();
-    return predictor;
-  }();
+  static const predict::SparseTimePredictor predictor =
+      LoadOrCalibrate<predict::SparseTimePredictor>("sparse_predictor", [] {
+        return predict::SparseTimePredictor::Calibrate();
+      });
   return predictor;
+}
+
+mm::CsrMatrix RandomSparse(uint32_t m, uint32_t k, double sparsity,
+                           uint64_t seed) {
+  Rng rng(seed);
+  mm::Matrix dense(m, k);
+  for (uint32_t r = 0; r < m; ++r) {
+    for (uint32_t c = 0; c < k; ++c) {
+      if (rng.Uniform() >= sparsity) {
+        dense.At(r, c) = static_cast<float>(rng.Normal());
+      }
+    }
+  }
+  return mm::CsrMatrix::FromDense(dense);
 }
 
 void PrintBanner(const std::string& artifact, const std::string& description) {

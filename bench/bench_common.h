@@ -18,6 +18,7 @@
 #include "data/dataset.h"
 #include "data/normalize.h"
 #include "gbdt/booster.h"
+#include "mm/csr.h"
 #include "nn/mlp.h"
 #include "nn/trainer.h"
 #include "predict/architecture.h"
@@ -66,6 +67,12 @@ nn::Mlp GetStudent(const std::string& tag, const data::DatasetSplits& splits,
 /// Calibrated time predictors (cached on disk; calibration takes seconds).
 const predict::DenseTimePredictor& DensePredictor();
 const predict::SparseTimePredictor& SparsePredictor();
+
+/// An m x k CSR matrix whose entries are each zero with probability
+/// `sparsity`, else N(0, 1): the random first-layer weights of Tables 3-4
+/// and Figure 11.
+mm::CsrMatrix RandomSparse(uint32_t m, uint32_t k, double sparsity,
+                           uint64_t seed);
 
 /// Prints a bench banner with the paper artifact being reproduced.
 void PrintBanner(const std::string& artifact, const std::string& description);

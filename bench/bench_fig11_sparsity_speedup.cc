@@ -1,10 +1,12 @@
 // Reproduces Figure 11: predicted sparse-over-dense multiplication speedup
 // as a function of sparsity, for several first-layer shapes, assuming every
-// row/column stays active (worst case). Also cross-checks a few points
-// against real kernel measurements. Expected shape: speedup grows
-// super-linearly in the pruned fraction, ~10x at 95 % on the 400x136 layer.
+// row/column stays active (worst case). Also cross-checks one point against
+// the served kernels (GemmLayer vs SdmmLayer). Expected shape: speedup
+// grows super-linearly in the pruned fraction, ~10x at 95 % on the 400x136
+// layer.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.h"
 #include "common/rng.h"
@@ -37,22 +39,27 @@ int main() {
     std::printf("\n");
   }
 
-  // Spot-check against the real kernels at 0.95 on the 400x136 shape.
-  Rng rng(77);
-  mm::Matrix weights(400, 136);
-  for (uint32_t r = 0; r < 400; ++r) {
-    for (uint32_t c = 0; c < 136; ++c) {
-      if (rng.Uniform() >= 0.95) weights.At(r, c) = static_cast<float>(rng.Normal());
+  // Spot-check against the served kernels at 0.95 on the 400x136 shape:
+  // the same ReLU6 layer through GemmLayer (weights packed once) and
+  // SdmmLayer, over panel-resident activations.
+  const mm::CsrMatrix csr = benchx::RandomSparse(400, 136, 0.95, 77);
+  const mm::PackedMatrix packed = mm::PackWeights(csr.ToDense());
+  Rng rng(78);
+  mm::PanelMatrix x;
+  x.Reshape(136, n, packed.params().nr);
+  for (uint32_t j = 0; j < x.padded_cols(); ++j) {
+    for (uint32_t r = 0; r < 136; ++r) {
+      x.At(r, j) = static_cast<float>(rng.Normal());
     }
   }
-  const mm::CsrMatrix csr = mm::CsrMatrix::FromDense(weights);
-  Rng rng2(78);
-  mm::Matrix b(136, n);
-  b.FillNormal(rng2);
-  mm::Matrix c_dense(400, n);
-  mm::Matrix c_sparse(400, n);
-  const double dense_us = TimeMicros([&] { mm::Gemm(weights, b, &c_dense); }, 9);
-  const double sparse_us = TimeMicros([&] { mm::Sdmm(csr, b, &c_sparse); }, 9);
+  const std::vector<float> bias(400, 0.5f);
+  const mm::LayerEpilogue epilogue{bias.data(), /*relu6=*/true};
+  mm::PanelMatrix y_dense;
+  mm::PanelMatrix y_sparse;
+  const double dense_us = TimeMicros(
+      [&] { mm::GemmLayer(packed, x, epilogue, &y_dense); }, 9);
+  const double sparse_us = TimeMicros(
+      [&] { mm::SdmmLayer(csr, x, epilogue, &y_sparse); }, 9);
   std::printf("\nmeasured 400x136 @ 95%% sparsity: dense %.2f us, sparse "
               "%.2f us -> %.1fx real speedup\n",
               dense_us, sparse_us, dense_us / sparse_us);

@@ -1,5 +1,5 @@
 // Reproduces Table 4: the sparse time predictor (Equation 5) vs measured
-// SDMM times on first-layer shapes at N in {16, 32, 64}, including pairs of
+// times of the served sparse layer (mm::SdmmLayer) on first-layer shapes at N in {16, 32, 64}, including pairs of
 // matrices with the same shape but different sparsity. Expected shape:
 // predictions track reality closely and resolve same-shape /
 // different-sparsity pairs in the right order.
@@ -7,27 +7,8 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "common/rng.h"
 #include "mm/csr.h"
 #include "mm/sdmm.h"
-
-namespace {
-
-dnlr::mm::CsrMatrix RandomSparse(uint32_t m, uint32_t k, double sparsity,
-                                 uint64_t seed) {
-  dnlr::Rng rng(seed);
-  dnlr::mm::Matrix dense(m, k);
-  for (uint32_t r = 0; r < m; ++r) {
-    for (uint32_t c = 0; c < k; ++c) {
-      if (rng.Uniform() >= sparsity) {
-        dense.At(r, c) = static_cast<float>(rng.Normal());
-      }
-    }
-  }
-  return dnlr::mm::CsrMatrix::FromDense(dense);
-}
-
-}  // namespace
 
 int main() {
   using namespace dnlr;
@@ -54,9 +35,9 @@ int main() {
   }
   std::printf("\n");
   for (const Case& c : cases) {
-    const mm::CsrMatrix a =
-        RandomSparse(c.m, k, c.sparsity,
-                     2000 + c.m + static_cast<uint64_t>(c.sparsity * 1e4));
+    const mm::CsrMatrix a = benchx::RandomSparse(
+        c.m, k, c.sparsity,
+        2000 + c.m + static_cast<uint64_t>(c.sparsity * 1e4));
     std::printf("%4ux%-7u %9.3f |", c.m, k, a.Sparsity());
     for (const uint32_t n : {16u, 32u, 64u}) {
       const double real = mm::MeasureSdmmMicros(a, n, 9);

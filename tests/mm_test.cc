@@ -13,6 +13,7 @@
 #include "mm/matrix.h"
 #include "mm/panel.h"
 #include "mm/sdmm.h"
+#include "mm_test_util.h"
 
 namespace dnlr::mm {
 namespace {
@@ -83,27 +84,6 @@ TEST(GemmTest, TinyExactProduct) {
 bool BitwiseEqual(const Matrix& x, const Matrix& y) {
   return x.rows() == y.rows() && x.cols() == y.cols() &&
          std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
-}
-
-/// `m` in panel layout, padding columns set to zero.
-PanelMatrix ToPanels(const Matrix& m, uint32_t nr) {
-  PanelMatrix panels;
-  panels.Reshape(m.rows(), m.cols(), nr);
-  for (uint32_t r = 0; r < m.rows(); ++r) {
-    for (uint32_t c = 0; c < panels.padded_cols(); ++c) {
-      panels.At(r, c) = c < m.cols() ? m.At(r, c) : 0.0f;
-    }
-  }
-  return panels;
-}
-
-/// The real (unpadded) columns of `panels` as a row-major matrix.
-Matrix FromPanels(const PanelMatrix& panels) {
-  Matrix m(panels.rows(), panels.cols());
-  for (uint32_t r = 0; r < m.rows(); ++r) {
-    for (uint32_t c = 0; c < m.cols(); ++c) m.At(r, c) = panels.At(r, c);
-  }
-  return m;
 }
 
 /// Whether every stored entry of `panels`, padding included, is finite.
@@ -449,31 +429,33 @@ TEST_P(SdmmTest, MatchesReference) {
   CsrMatrix a = CsrMatrix::FromDense(dense);
   Matrix b(k, n);
   b.FillNormal(rng);
-  Matrix c(m, n);
-  Matrix expected(m, n);
-  Sdmm(a, b, &c);
-  SdmmReference(a, b, &expected);
-  EXPECT_LE(c.MaxAbsDiff(expected), 1e-3f)
-      << "shape " << m << "x" << k << "x" << n << " sparsity " << sparsity;
+  const PanelMatrix x = ToPanels(b, GemmParams().nr);
 
-  // And both must agree with the dense product of the expanded matrix.
+  // With a zero bias and no activation the served layer is the bare
+  // product: it must agree with Algorithm 1 and with the dense product of
+  // the expanded matrix.
+  const std::vector<float> zero_bias(m, 0.0f);
+  PanelMatrix y;
+  SdmmLayer(a, x, LayerEpilogue{zero_bias.data(), false}, &y);
+  const Matrix product = FromPanels(y);
+  Matrix expected(m, n);
+  SdmmReference(a, b, &expected);
+  EXPECT_LE(product.MaxAbsDiff(expected), 1e-3f)
+      << "shape " << m << "x" << k << "x" << n << " sparsity " << sparsity;
   Matrix dense_out(m, n);
   GemmReference(dense, b, &dense_out);
-  EXPECT_LE(c.MaxAbsDiff(dense_out), 1e-3f);
+  EXPECT_LE(product.MaxAbsDiff(dense_out), 1e-3f);
 
-  // The fused layer over panels, with and without ReLU6: bit for bit Sdmm
-  // plus a separate bias pass (inactive rows included), and finite padding.
+  // With and without ReLU6: bit for bit the scalar oracle (inactive rows
+  // included), and finite padding.
   const std::vector<float> bias = LayerBias(m, rng);
-  const PanelMatrix x = ToPanels(b, GemmParams().nr);
-  PanelMatrix y;
   for (const bool relu6 : {false, true}) {
-    Matrix raw = c;
-    BiasActivateReference(bias, relu6, &raw);
+    const LayerEpilogue epilogue{bias.data(), relu6};
     Poison(m, n, GemmParams().nr, &y);
-    SdmmLayer(a, x, LayerEpilogue{bias.data(), relu6}, &y);
+    SdmmLayer(a, x, epilogue, &y);
     ASSERT_EQ(y.rows(), static_cast<uint32_t>(m));
     ASSERT_EQ(y.cols(), static_cast<uint32_t>(n));
-    EXPECT_TRUE(BitwiseEqual(FromPanels(y), raw))
+    EXPECT_TRUE(BitwiseEqual(FromPanels(y), SdmmLayerOracle(a, b, epilogue)))
         << "shape " << m << "x" << k << "x" << n << " relu6 " << relu6;
     EXPECT_TRUE(AllFinite(y));
   }
@@ -501,6 +483,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 17, 64),
                        ::testing::Values(0.9)));
 
+// A row with no non-zeros sums to 0, so its outputs are the epilogue of 0:
+// act(bias[row]) in every column.
 TEST(SdmmTest, InactiveRowsProduceZeroRows) {
   Matrix dense(4, 4);
   dense.At(1, 2) = 3.0f;  // only row 1 active
@@ -508,13 +492,15 @@ TEST(SdmmTest, InactiveRowsProduceZeroRows) {
   Rng rng(9);
   Matrix b(4, 8);
   b.FillNormal(rng);
-  Matrix c(4, 8);
-  Sdmm(a, b, &c);
+  const std::vector<float> bias = {0.5f, -0.25f, 7.0f, -2.0f};
+  const LayerEpilogue epilogue{bias.data(), /*relu6=*/true};
+  PanelMatrix y;
+  SdmmLayer(a, ToPanels(b, GemmParams().nr), epilogue, &y);
   for (uint32_t j = 0; j < 8; ++j) {
-    EXPECT_FLOAT_EQ(c.At(0, j), 0.0f);
-    EXPECT_FLOAT_EQ(c.At(2, j), 0.0f);
-    EXPECT_FLOAT_EQ(c.At(3, j), 0.0f);
-    EXPECT_FLOAT_EQ(c.At(1, j), 3.0f * b.At(2, j));
+    EXPECT_EQ(y.At(0, j), 0.5f);
+    EXPECT_EQ(y.At(2, j), 6.0f);
+    EXPECT_EQ(y.At(3, j), 0.0f);
+    EXPECT_EQ(y.At(1, j), epilogue.Apply(1, 3.0f * b.At(2, j)));
   }
 }
 

@@ -14,6 +14,7 @@
 #include "mm/csr.h"
 #include "mm/gemm.h"
 #include "mm/sdmm.h"
+#include "mm_test_util.h"
 #include "nn/adam.h"
 #include "nn/distill.h"
 #include "nn/mlp.h"
@@ -388,8 +389,8 @@ TEST_F(DistillFixture, ScorerHandlesOddBatchSizes) {
 
 // Packing the weights once must not move a single bit: dense and hybrid
 // scores equal a layer-by-layer forward pass over the raw weights through
-// the raw-A mm::Gemm (and mm::Sdmm for the hybrid's first layer), batch by
-// batch, ragged tails included. The shape crosses the default blocking:
+// the raw-A mm::Gemm (and the scalar SdmmLayer oracle for the hybrid's
+// first layer), batch by batch, ragged tails included. The shape crosses the default blocking:
 // layer 0 spans two kc slices (k = 300) and two mc blocks (m = 80).
 TEST(NeuralScorerParityTest, PackedWeightsMatchRawGemmForwardBitwise) {
   const uint32_t features = 300;
@@ -415,13 +416,14 @@ TEST(NeuralScorerParityTest, PackedWeightsMatchRawGemmForwardBitwise) {
     mm::Matrix current = columns;
     for (uint32_t l = 0; l < mlp.num_layers(); ++l) {
       const LinearLayer& layer = mlp.layer(l);
-      mm::Matrix next(layer.weight.rows(), columns.cols());
-      if (l == 0 && sparse_first) {
-        mm::Sdmm(sparse_w0, current, &next);
-      } else {
-        mm::Gemm(layer.weight, current, &next);
-      }
       const bool activate = l + 1 < mlp.num_layers();
+      if (l == 0 && sparse_first) {
+        current = mm::SdmmLayerOracle(
+            sparse_w0, current, mm::LayerEpilogue{layer.bias.data(), activate});
+        continue;
+      }
+      mm::Matrix next(layer.weight.rows(), columns.cols());
+      mm::Gemm(layer.weight, current, &next);
       for (uint32_t o = 0; o < next.rows(); ++o) {
         float* row = next.Row(o);
         for (uint32_t j = 0; j < next.cols(); ++j) {

@@ -24,6 +24,7 @@
 #include "mm/csr.h"
 #include "mm/gemm.h"
 #include "mm/sdmm.h"
+#include "mm_test_util.h"
 #include "nn/mlp.h"
 #include "nn/scorer.h"
 
@@ -176,10 +177,14 @@ TEST_P(RandomMatrixTest, GemmAndSdmmAgreeOnRandomShapes) {
   EXPECT_LE(blocked.MaxAbsDiff(reference), 1e-3f)
       << m << "x" << k << "x" << n;
 
+  // The served sparse layer with a zero bias and no activation is the bare
+  // product.
   const mm::CsrMatrix csr = mm::CsrMatrix::FromDense(a);
-  mm::Matrix sparse(m, n);
-  mm::Sdmm(csr, b, &sparse);
-  EXPECT_LE(sparse.MaxAbsDiff(reference), 1e-3f)
+  const std::vector<float> zero_bias(m, 0.0f);
+  mm::PanelMatrix y;
+  mm::SdmmLayer(csr, mm::ToPanels(b, mm::GemmParams().nr),
+                mm::LayerEpilogue{zero_bias.data(), false}, &y);
+  EXPECT_LE(mm::FromPanels(y).MaxAbsDiff(reference), 1e-3f)
       << m << "x" << k << "x" << n << " sparsity " << sparsity;
 }
 

@@ -144,8 +144,9 @@ class Args {
     return value != nullptr ? ParseNumber(*value, "--" + key) : fallback;
   }
   /// GetDouble bounded to [min, max], or exit 2: a probability outside
-  /// [0, 1] or a rate at or below 0 would abort the run part-way. A `min`
-  /// of kPositive reads as "> 0".
+  /// [0, 1] or a rate at or below 0 would abort the run part-way, and a
+  /// gate bound out of its range would void the gate. A `min` of kPositive
+  /// reads as "> 0".
   double GetDouble(const std::string& key, double fallback, double min,
                    double max = std::numeric_limits<double>::infinity()) const {
     const double value = GetDouble(key, fallback);
@@ -506,7 +507,7 @@ int CmdPredictTime(const Args& args) {
   const uint32_t features = args.GetInt("features", 136);
   const std::string arch_spec = args.Require("arch");
   const uint32_t batch = args.GetInt("batch", 64);
-  const double sparsity = args.GetDouble("sparsity", 0.95);
+  const double sparsity = args.GetDouble("sparsity", 0.95, 0, 1);
   args.RejectUnread();
   auto arch = predict::Architecture::Parse(arch_spec, features);
   if (!arch.ok()) return Fail(arch.status());
@@ -714,12 +715,12 @@ int CmdServeBenchSharded(const Args& args) {
       .burst_trigger_probability = args.GetDouble("burst-trigger", 0.05, 0, 1),
       .burst_length = static_cast<uint32_t>(args.GetCount("burst-len", 300)),
       .seed = seed + 7777};
-  const double p99_ratio = args.GetDouble("p99-ratio", 1.5);
-  const double p99_floor_us = args.GetDouble("p99-floor-us", 5000.0);
+  const double p99_ratio = args.GetDouble("p99-ratio", 1.5, kPositive);
+  const double p99_floor_us = args.GetDouble("p99-floor-us", 5000.0, 0);
   const double zipf_exponent = args.GetDouble("zipf-exponent", 1.1);
   replay::ShardedOutcome outcome;
-  outcome.max_error_rate = args.GetDouble("max-error-rate", 0.01);
-  const double admit_slack = args.GetDouble("admit-slack", 2.0);
+  outcome.max_error_rate = args.GetDouble("max-error-rate", 0.01, 0, 1);
+  const double admit_slack = args.GetDouble("admit-slack", 2.0, kPositive);
   const std::string out = args.Get("out", "out/serve_shard_ci.json");
   // The bundle lands beside the report.
   const replay::FixtureConfig fc{
@@ -908,10 +909,10 @@ int CmdSoakBench(const Args& args) {
       static_cast<uint64_t>(args.GetCount("reload-every-ms", 700));
   const int poison_every = args.GetInt("poison-every", 2);
   replay::SoakOutcome outcome;
-  outcome.min_hit_rate = args.GetDouble("min-hit-rate", 0.5);
-  outcome.max_shed_rate = args.GetDouble("max-shed-rate", 0.05);
+  outcome.min_hit_rate = args.GetDouble("min-hit-rate", 0.5, 0, 1);
+  outcome.max_shed_rate = args.GetDouble("max-shed-rate", 0.05, 0, 1);
   outcome.max_p99_us = args.GetDouble(
-      "max-p99-us", static_cast<double>(config.deadline_us));
+      "max-p99-us", static_cast<double>(config.deadline_us), kPositive);
   const serve::ScoreCacheConfig cache_config{
       .capacity = static_cast<size_t>(args.GetCount("cache-capacity", 4096)),
       .num_shards = static_cast<size_t>(args.GetCount("cache-shards", 8))};
@@ -923,7 +924,11 @@ int CmdSoakBench(const Args& args) {
   replay::WorkloadConfig wc;
   wc.zipf_exponent = args.GetDouble("zipf-exponent", 1.1);
   wc.base_qps = args.GetDouble("qps", 600.0, kPositive);
-  wc.diurnal_amplitude = args.GetDouble("diurnal-amplitude", 0.5);
+  wc.diurnal_amplitude = args.GetDouble("diurnal-amplitude", 0.5, 0, 1);
+  // At 1 the trough's arrival rate would be 0 qps.
+  if (wc.diurnal_amplitude == 1.0) {
+    UsageError("--diurnal-amplitude must be < 1, got 1");
+  }
   // Default period: the soak covers 1.5 compressed "days", so both the
   // peak and the trough are exercised.
   wc.diurnal_period_micros =
@@ -1313,13 +1318,13 @@ int CmdServeBench(const Args& args) {
 int CmdBenchScaling(const Args& args) {
   const auto features = static_cast<uint32_t>(args.GetCount("features", 136));
   const auto queries = static_cast<uint32_t>(args.GetCount("queries", 60));
-  const double sparsity = args.GetDouble("sparsity", 0.98);
+  const double sparsity = args.GetDouble("sparsity", 0.98, 0, 1);
   const int repeats = args.GetCount("repeats", 3);
   const auto seed = static_cast<uint64_t>(args.GetInt("seed", 42));
   const std::vector<uint32_t> thread_counts =
       ParseThreadList(args.Get("threads", "1,2,4"));
-  const double min_t2_ratio = args.GetDouble("min-t2-ratio", 0.0);
-  const double min_t2_ratio_small = args.GetDouble("min-t2-ratio-small", 0.0);
+  const double min_t2_ratio = args.GetDouble("min-t2-ratio", 0.0, 0);
+  const double min_t2_ratio_small = args.GetDouble("min-t2-ratio-small", 0.0, 0);
   const std::string out = args.Get("out", "out/bench_scaling.json");
   const bool obs_spans = args.GetInt("obs", 0) != 0;
   const std::string obs_out = args.Get("obs-out", "out/bench_scaling_obs.json");
@@ -1548,7 +1553,7 @@ int CmdStats(const Args& args) {
   const auto queries = static_cast<uint32_t>(args.GetCount("queries", 24));
   const auto seed = static_cast<uint64_t>(args.GetInt("seed", 7));
   const bool check = args.GetInt("check", 0) != 0;
-  const double max_overhead_pct = args.GetDouble("max-overhead-pct", 0.0);
+  const double max_overhead_pct = args.GetDouble("max-overhead-pct", 0.0, 0);
   const int trials = args.GetInt("trials", 3);
   const std::string out = args.Get("out", "-");
   args.RejectUnread();
@@ -1939,7 +1944,7 @@ int CmdBundleBench(const Args& args) {
   const auto leaves = static_cast<uint32_t>(args.GetInt("leaves", 64));
   const std::string arch_spec = args.Get("arch", "512x256x128");
   const int iters = std::max(1, args.GetInt("iters", 7));
-  const double min_speedup = args.GetDouble("min-speedup", 0.0);
+  const double min_speedup = args.GetDouble("min-speedup", 0.0, 0);
   const std::string dir = args.Get("dir", "out");
   const auto seed = static_cast<uint64_t>(args.GetInt("seed", 42));
   args.RejectUnread();
