@@ -63,7 +63,7 @@ int main() {
       const auto scores =
           nn::ScoreDatasetWithMlp(student, splits.test, &normalizer);
       const auto pq = metrics::PerQueryNdcg(splits.test, scores, 10);
-      std::string mark;
+      const char* mark = "";
       if (!pq_prev.empty() &&
           metrics::MeanOverValidQueries(pq) >
               metrics::MeanOverValidQueries(pq_prev) &&
@@ -71,7 +71,7 @@ int main() {
         mark = "^";  // significant improvement from the teacher upgrade
       }
       std::printf("%-20s %-22s %9.4f %5s\n", spec, teacher_name, eval(scores),
-                  mark.c_str());
+                  mark);
       pq_prev = pq;
     }
   }

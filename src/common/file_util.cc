@@ -32,8 +32,8 @@ bool WriteAll(std::FILE* file, const char* data, size_t size) {
 /// directory's metadata reaches disk a crash can roll the publish back (the
 /// old name reappears, or on a first write the file vanishes entirely).
 Status SyncParentDir(const std::string& path) {
-  std::string dir = std::filesystem::path(path).parent_path().string();
-  if (dir.empty()) dir = ".";
+  const std::string parent = std::filesystem::path(path).parent_path();
+  const std::string dir = parent.empty() ? "." : parent;
   errno = 0;
   const int fd = open(dir.c_str(), O_RDONLY);
   if (fd < 0) {

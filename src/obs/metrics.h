@@ -111,11 +111,17 @@ class Histogram {
   std::atomic<uint64_t> max_nanos_{0};
 };
 
-/// Process-wide registry of named metrics. Registration (GetCounter /
-/// GetGauge / GetHistogram) takes a mutex and is meant for cold paths —
-/// constructors and function-local statics; the returned references stay
-/// valid for the life of the process, so hot paths record through cached
-/// pointers without ever touching the map again.
+/// Process-wide registry of named metrics. It holds what is process-wide by
+/// nature: the scoring hot-path spans and counts (mm / nn / forest), the
+/// predictor-drift gauges and the stats CLI's overhead gauge. Statistics of one
+/// serving instance (an engine's counters and rung / queue-wait / backoff
+/// histograms, a router's tenant rollups, a score cache's tallies) are Counter
+/// / Histogram members of that instance instead, so same-named instances never
+/// add into one series. Registration (GetCounter / GetGauge / GetHistogram)
+/// takes a mutex and is meant for cold paths — constructors and function-local
+/// statics; the returned references stay valid for the life of the process, so
+/// hot paths record through cached pointers without ever touching the map
+/// again.
 ///
 /// The `enabled` flag is the run-time switch for the scoring hot-path spans
 /// (mm / nn / forest): off by default, one relaxed atomic load to test, and

@@ -1,9 +1,10 @@
 #ifndef DNLR_SERVE_COUNTERS_H_
 #define DNLR_SERVE_COUNTERS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace dnlr::serve {
 
@@ -30,9 +31,10 @@ struct ServeCountersSnapshot {
   std::vector<uint64_t> served_by_rung;
 };
 
-/// Lock-free counters updated by worker threads and read by anyone.
-/// Relaxed ordering throughout: each counter is an independent statistic,
-/// not a synchronization point.
+/// The engine's own counters, updated by worker threads and read by anyone.
+/// Each is an obs::Counter (one relaxed fetch_add): an independent
+/// statistic, never a synchronization point, and never shared with another
+/// engine.
 class ServeCounters {
  public:
   explicit ServeCounters(size_t num_rungs) : served_by_rung(num_rungs) {}
@@ -41,61 +43,57 @@ class ServeCounters {
   ServeCounters& operator=(const ServeCounters&) = delete;
 
   ServeCountersSnapshot Snapshot() const {
-    // Relaxed loads throughout: every counter is an independent statistic
-    // and the snapshot is per-counter (not cross-counter) consistent —
-    // exactly what the stats endpoints and tests expect.
-    const auto read = [](const std::atomic<uint64_t>& c) {
-      return c.load(std::memory_order_relaxed);
-    };
+    // Per-counter (not cross-counter) consistent, which is what the stats
+    // endpoints and tests expect.
     ServeCountersSnapshot snap;
-    snap.submitted = read(submitted);
-    snap.ok = read(ok);
-    snap.shed_queue_full = read(shed_queue_full);
-    snap.shed_stopped = read(shed_stopped);
-    snap.shed_deadline = read(shed_deadline);
-    snap.deadline_exceeded = read(deadline_exceeded);
-    snap.failed = read(failed);
-    snap.degraded = read(degraded);
-    snap.retries = read(retries);
-    snap.transient_faults = read(transient_faults);
-    snap.timeouts = read(timeouts);
-    snap.non_finite_batches = read(non_finite_batches);
-    snap.circuit_opens = read(circuit_opens);
-    snap.circuit_closes = read(circuit_closes);
-    snap.circuit_probes = read(circuit_probes);
-    snap.swaps_attempted = read(swaps_attempted);
-    snap.swaps_completed = read(swaps_completed);
-    snap.swaps_rejected = read(swaps_rejected);
+    snap.submitted = submitted.Value();
+    snap.ok = ok.Value();
+    snap.shed_queue_full = shed_queue_full.Value();
+    snap.shed_stopped = shed_stopped.Value();
+    snap.shed_deadline = shed_deadline.Value();
+    snap.deadline_exceeded = deadline_exceeded.Value();
+    snap.failed = failed.Value();
+    snap.degraded = degraded.Value();
+    snap.retries = retries.Value();
+    snap.transient_faults = transient_faults.Value();
+    snap.timeouts = timeouts.Value();
+    snap.non_finite_batches = non_finite_batches.Value();
+    snap.circuit_opens = circuit_opens.Value();
+    snap.circuit_closes = circuit_closes.Value();
+    snap.circuit_probes = circuit_probes.Value();
+    snap.swaps_attempted = swaps_attempted.Value();
+    snap.swaps_completed = swaps_completed.Value();
+    snap.swaps_rejected = swaps_rejected.Value();
     snap.served_by_rung.reserve(served_by_rung.size());
-    for (const auto& c : served_by_rung) {
-      snap.served_by_rung.push_back(read(c));
+    for (const obs::Counter& c : served_by_rung) {
+      snap.served_by_rung.push_back(c.Value());
     }
     return snap;
   }
 
-  std::atomic<uint64_t> submitted{0};
-  std::atomic<uint64_t> ok{0};
+  obs::Counter submitted;
+  obs::Counter ok;
   /// Sheds are tagged by cause on purpose: a full queue is a saturation
   /// signal (back off, fail over, keep probing), a stopped engine is a
   /// shutdown signal (stop routing here entirely) — the router's shard
   /// health score must not confuse the two.
-  std::atomic<uint64_t> shed_queue_full{0};
-  std::atomic<uint64_t> shed_stopped{0};
-  std::atomic<uint64_t> shed_deadline{0};
-  std::atomic<uint64_t> deadline_exceeded{0};
-  std::atomic<uint64_t> failed{0};
-  std::atomic<uint64_t> degraded{0};
-  std::atomic<uint64_t> retries{0};
-  std::atomic<uint64_t> transient_faults{0};
-  std::atomic<uint64_t> timeouts{0};
-  std::atomic<uint64_t> non_finite_batches{0};
-  std::atomic<uint64_t> circuit_opens{0};
-  std::atomic<uint64_t> circuit_closes{0};
-  std::atomic<uint64_t> circuit_probes{0};
-  std::atomic<uint64_t> swaps_attempted{0};
-  std::atomic<uint64_t> swaps_completed{0};
-  std::atomic<uint64_t> swaps_rejected{0};
-  std::vector<std::atomic<uint64_t>> served_by_rung;
+  obs::Counter shed_queue_full;
+  obs::Counter shed_stopped;
+  obs::Counter shed_deadline;
+  obs::Counter deadline_exceeded;
+  obs::Counter failed;
+  obs::Counter degraded;
+  obs::Counter retries;
+  obs::Counter transient_faults;
+  obs::Counter timeouts;
+  obs::Counter non_finite_batches;
+  obs::Counter circuit_opens;
+  obs::Counter circuit_closes;
+  obs::Counter circuit_probes;
+  obs::Counter swaps_attempted;
+  obs::Counter swaps_completed;
+  obs::Counter swaps_rejected;
+  std::vector<obs::Counter> served_by_rung;
 };
 
 }  // namespace dnlr::serve

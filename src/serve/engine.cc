@@ -19,32 +19,7 @@ bool AllFinite(const std::vector<float>& scores) {
   return true;
 }
 
-// Relaxed increment: serve counters are independent statistics, never a
-// synchronization point (see ServeCounters).
-void Bump(std::atomic<uint64_t>& counter) {
-  counter.fetch_add(1, std::memory_order_relaxed);
-}
-
 }  // namespace
-
-std::shared_ptr<const ServingEngine::LadderState> ServingEngine::BuildState(
-    std::shared_ptr<const DegradationLadder> ladder, uint64_t version) {
-  auto state = std::make_shared<LadderState>();
-  // Bounded latency histograms live in the process-wide registry so they
-  // survive the engine and any particular model generation. Resolved here,
-  // once per publication: the worker hot path only touches pre-resolved
-  // pointers.
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  state->rung_latency.reserve(ladder->num_rungs());
-  for (size_t r = 0; r < ladder->num_rungs(); ++r) {
-    state->rung_latency.push_back(&registry.GetHistogram(
-        "serve.rung" + std::to_string(r) + "." + ladder->rung(r).name +
-        ".total_us"));
-  }
-  state->ladder = std::move(ladder);
-  state->version = version;
-  return state;
-}
 
 ServingEngine::ServingEngine(const DegradationLadder* ladder,
                              ServingConfig config, Clock* clock)
@@ -58,7 +33,8 @@ ServingEngine::ServingEngine(std::shared_ptr<const DegradationLadder> ladder,
                              ServingConfig config, Clock* clock)
     : config_(config),
       clock_(clock),
-      counters_(ladder == nullptr ? 0 : ladder->num_rungs()) {
+      counters_(ladder == nullptr ? 0 : ladder->num_rungs()),
+      rung_latency_(ladder == nullptr ? 0 : ladder->num_rungs()) {
   DNLR_CHECK(ladder != nullptr);
   DNLR_CHECK(clock_ != nullptr);
   DNLR_CHECK_GE(ladder->num_rungs(), 1u);
@@ -70,12 +46,9 @@ ServingEngine::ServingEngine(std::shared_ptr<const DegradationLadder> ladder,
   {
     // No worker exists yet; the lock satisfies the thread-safety analysis.
     common::MutexLock lock(state_mu_);
-    state_ = BuildState(std::move(ladder), /*version=*/1);
+    state_ = std::make_shared<const LadderState>(
+        LadderState{std::move(ladder), /*version=*/1});
   }
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  queue_wait_histogram_ = &registry.GetHistogram("serve.queue_wait_us");
-  backoff_histogram_ = &registry.GetHistogram("serve.backoff_us");
-  cache_hit_histogram_ = &registry.GetHistogram("serve.cache_hit.total_us");
   {
     // No worker thread exists yet; the lock satisfies the thread-safety
     // analysis (guarded members are only touched with their mutex held).
@@ -104,16 +77,16 @@ void ServingEngine::Stop() {
 
 Status ServingEngine::SwapModel(std::shared_ptr<const DegradationLadder> next,
                                 const SwapValidator& validate) {
-  Bump(counters_.swaps_attempted);
+  counters_.swaps_attempted.Add();
   if (next == nullptr) {
-    Bump(counters_.swaps_rejected);
+    counters_.swaps_rejected.Add();
     return Status::InvalidArgument("SwapModel: candidate ladder is null");
   }
   // Breakers, per-rung counters and the degraded semantics are all shaped
   // by rung count; a swap is a model replacement, not a topology change.
   const size_t current_rungs = CurrentState()->ladder->num_rungs();
   if (next->num_rungs() != current_rungs) {
-    Bump(counters_.swaps_rejected);
+    counters_.swaps_rejected.Add();
     return Status::InvalidArgument(
         "SwapModel: candidate has " + std::to_string(next->num_rungs()) +
         " rungs, engine is serving " + std::to_string(current_rungs));
@@ -123,7 +96,7 @@ Status ServingEngine::SwapModel(std::shared_ptr<const DegradationLadder> next,
     // concurrent swaps proceed while a (possibly slow) validation runs.
     Status verdict = validate(*next);
     if (!verdict.ok()) {
-      Bump(counters_.swaps_rejected);
+      counters_.swaps_rejected.Add();
       return Status::FailedPrecondition(
           "SwapModel: candidate rejected by validation: " +
           verdict.message());
@@ -134,8 +107,8 @@ Status ServingEngine::SwapModel(std::shared_ptr<const DegradationLadder> next,
     // swap_mu_ serializes concurrent swappers (read-modify-write of
     // version); state_mu_ is held only for the pointer exchange, so the
     // old generation is released (and possibly destroyed) outside it.
-    std::shared_ptr<const LadderState> state =
-        BuildState(std::move(next), CurrentState()->version + 1);
+    auto state = std::make_shared<const LadderState>(
+        LadderState{std::move(next), CurrentState()->version + 1});
     {
       common::MutexLock state_lock(state_mu_);
       state_.swap(state);
@@ -147,12 +120,12 @@ Status ServingEngine::SwapModel(std::shared_ptr<const DegradationLadder> next,
     common::MutexLock lock(breaker_mu_);
     for (Breaker& breaker : breakers_) breaker = Breaker{};
   }
-  Bump(counters_.swaps_completed);
+  counters_.swaps_completed.Add();
   return Status::Ok();
 }
 
 std::future<ServeResponse> ServingEngine::Submit(const ServeRequest& request) {
-  Bump(counters_.submitted);
+  counters_.submitted.Add();
   std::promise<ServeResponse> promise;
   std::future<ServeResponse> future = promise.get_future();
 
@@ -177,14 +150,14 @@ std::future<ServeResponse> ServingEngine::Submit(const ServeRequest& request) {
   {
     common::MutexLock lock(queue_mu_);
     if (stopping_) {
-      Bump(counters_.shed_stopped);
+      counters_.shed_stopped.Add();
       ServeResponse resp;
       resp.status = Status::ResourceExhausted("serving engine is stopped");
       promise.set_value(std::move(resp));
       return future;
     }
     if (queue_.size() >= config_.queue_capacity) {
-      Bump(counters_.shed_queue_full);
+      counters_.shed_queue_full.Add();
       ServeResponse resp;
       resp.status = Status::ResourceExhausted(
           "serving queue full (capacity " +
@@ -209,12 +182,12 @@ std::optional<ServeResponse> ServingEngine::AnswerFromCache(
   // a stopped engine answers nothing, not even a hit, and an expired
   // deadline is shed exactly as a worker would shed it.
   if (!accepting()) {
-    Bump(counters_.shed_stopped);
+    counters_.shed_stopped.Add();
     resp.status = Status::ResourceExhausted("serving engine is stopped");
     return resp;
   }
   if (request.deadline.RemainingMicros(*clock_) <= 0) {
-    Bump(counters_.shed_deadline);
+    counters_.shed_deadline.Add();
     resp.status =
         Status::DeadlineExceeded("deadline expired before scoring started");
     resp.total_micros = clock_->NowMicros() - start;
@@ -246,10 +219,9 @@ std::optional<ServeResponse> ServingEngine::AnswerFromCache(
   resp.degraded = entry.degraded;
   resp.cache_hit = true;
   resp.model_version = state->version;
-  Bump(counters_.ok);
-  if (resp.degraded) Bump(counters_.degraded);
+  counters_.ok.Add();
+  if (resp.degraded) counters_.degraded.Add();
   resp.total_micros = clock_->NowMicros() - start;
-  cache_hit_histogram_->Record(static_cast<double>(resp.total_micros));
   return resp;
 }
 
@@ -291,7 +263,7 @@ ServeResponse ServingEngine::Process(const LadderState& state,
   resp.model_version = state.version;
   const uint64_t start = clock_->NowMicros();
   resp.queue_micros = start - item.enqueue_micros;
-  queue_wait_histogram_->Record(static_cast<double>(resp.queue_micros));
+  queue_wait_.Record(static_cast<double>(resp.queue_micros));
   // Engine-side time: this worker's plus what Submit spent on a missed
   // cache lookup (zero without a cache); the queue wait is reported apart.
   const auto elapsed = [&]() -> uint64_t {
@@ -305,7 +277,7 @@ ServeResponse ServingEngine::Process(const LadderState& state,
 
   const int64_t initial_remaining = remaining();
   if (initial_remaining <= 0) {
-    Bump(counters_.shed_deadline);
+    counters_.shed_deadline.Add();
     resp.status =
         Status::DeadlineExceeded("deadline expired before scoring started");
     resp.total_micros = elapsed();
@@ -320,7 +292,7 @@ ServeResponse ServingEngine::Process(const LadderState& state,
   if (strongest_feasible < 0) {
     // Even the cheapest rung cannot fit: shed instead of starting work that
     // is doomed to miss its deadline.
-    Bump(counters_.shed_deadline);
+    counters_.shed_deadline.Add();
     resp.status = Status::DeadlineExceeded(
         "budget of " + std::to_string(initial_remaining) +
         " us cannot fit the cheapest rung");
@@ -350,7 +322,7 @@ ServeResponse ServingEngine::Process(const LadderState& state,
       attempted_any = true;
 
       if (!status.ok()) {
-        Bump(counters_.transient_faults);
+        counters_.transient_faults.Add();
         OnRungFault(state, r, now);
         if (past_deadline || attempt + 1 >= config_.max_attempts_per_rung) {
           break;  // next rung down
@@ -363,8 +335,8 @@ ServeResponse ServingEngine::Process(const LadderState& state,
           break;  // not enough budget to wait out a retry
         }
         clock_->SleepMicros(backoff);
-        backoff_histogram_->Record(static_cast<double>(backoff));
-        Bump(counters_.retries);
+        backoff_.Record(static_cast<double>(backoff));
+        counters_.retries.Add();
         ++resp.retries;
         // Our own fault may just have opened this rung's breaker.
         if (!AcquireRung(state, r, clock_->NowMicros())) break;
@@ -374,13 +346,13 @@ ServeResponse ServingEngine::Process(const LadderState& state,
       if (past_deadline) {
         // The rung finished, but too late to be useful: a slow rung is a
         // faulty rung as far as the breaker is concerned.
-        Bump(counters_.timeouts);
+        counters_.timeouts.Add();
         OnRungFault(state, r, now);
         break;
       }
       if (!AllFinite(resp.scores)) {
         // Never propagate NaN/Inf; fall to the next rung instead.
-        Bump(counters_.non_finite_batches);
+        counters_.non_finite_batches.Add();
         OnRungFault(state, r, now);
         break;
       }
@@ -390,14 +362,14 @@ ServeResponse ServingEngine::Process(const LadderState& state,
       resp.rung = static_cast<int>(r);
       resp.rung_name = ladder.rung(r).name;
       resp.degraded = static_cast<int>(r) != strongest_feasible;
-      Bump(counters_.ok);
-      Bump(counters_.served_by_rung[r]);
-      if (resp.degraded) Bump(counters_.degraded);
+      counters_.ok.Add();
+      counters_.served_by_rung[r].Add();
+      if (resp.degraded) counters_.degraded.Add();
       const uint64_t worker_micros = clock_->NowMicros() - start;
       resp.total_micros = item.lookup_micros + worker_micros;
       // The rung histogram, and the predictor drift read from it, keep
       // measuring the worker's own time: Submit's lookup is not rung cost.
-      state.rung_latency[r]->Record(static_cast<double>(worker_micros));
+      rung_latency_[r].Record(static_cast<double>(worker_micros));
       if (config_.score_cache != nullptr) {
         // Stamped with the pinned generation, which may be newer than the
         // one Submit looked up under: the entry records who scored it, and
@@ -414,15 +386,15 @@ ServeResponse ServingEngine::Process(const LadderState& state,
   resp.scores.clear();  // partial output from a faulted rung must not leak
   resp.total_micros = elapsed();
   if (remaining() <= 0) {
-    Bump(counters_.deadline_exceeded);
+    counters_.deadline_exceeded.Add();
     resp.status = Status::DeadlineExceeded(
         "budget exhausted after " + std::to_string(resp.total_micros) +
         " us without a successful rung");
   } else if (attempted_any) {
-    Bump(counters_.failed);
+    counters_.failed.Add();
     resp.status = Status::Internal("every available rung faulted");
   } else {
-    Bump(counters_.shed_deadline);
+    counters_.shed_deadline.Add();
     resp.status = Status::DeadlineExceeded(
         "no rung available within the remaining budget");
   }
@@ -456,14 +428,14 @@ bool ServingEngine::AcquireRung(const LadderState& state, size_t i,
       if (now_micros >= breaker.open_until_micros) {
         breaker.state = CircuitState::kHalfOpen;
         breaker.probe_in_flight = true;
-        Bump(counters_.circuit_probes);
+        counters_.circuit_probes.Add();
         return true;
       }
       return false;
     case CircuitState::kHalfOpen:
       if (!breaker.probe_in_flight) {
         breaker.probe_in_flight = true;
-        Bump(counters_.circuit_probes);
+        counters_.circuit_probes.Add();
         return true;
       }
       return false;
@@ -479,7 +451,7 @@ void ServingEngine::OnRungSuccess(const LadderState& state, size_t i) {
   if (breaker.state == CircuitState::kHalfOpen) {
     breaker.state = CircuitState::kClosed;
     breaker.probe_in_flight = false;
-    Bump(counters_.circuit_closes);
+    counters_.circuit_closes.Add();
   }
 }
 
@@ -494,12 +466,12 @@ void ServingEngine::OnRungFault(const LadderState& state, size_t i,
     breaker.state = CircuitState::kOpen;
     breaker.open_until_micros = now_micros + config_.circuit_open_micros;
     breaker.probe_in_flight = false;
-    Bump(counters_.circuit_opens);
+    counters_.circuit_opens.Add();
   } else if (breaker.state == CircuitState::kClosed &&
              breaker.consecutive_failures >= config_.circuit_failure_threshold) {
     breaker.state = CircuitState::kOpen;
     breaker.open_until_micros = now_micros + config_.circuit_open_micros;
-    Bump(counters_.circuit_opens);
+    counters_.circuit_opens.Add();
   }
 }
 

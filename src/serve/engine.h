@@ -194,31 +194,24 @@ class ServingEngine {
   const ServeCounters& counters() const { return counters_; }
   Clock& clock() const { return *clock_; }
 
-  /// Bounded latency histogram of requests served by rung `i` (registry
-  /// name "serve.rung<i>.<name>.total_us"): the worker's time from pickup
-  /// to answer, without the queue wait or Submit's score-cache lookup, so
-  /// it stays the rung cost the predictor drift compares. Bounded: memory
-  /// stays constant no matter how many requests flow, which is what lets
-  /// the engine run under production load with recording always on.
-  /// Drivers needing exact percentiles keep their own response samples
-  /// (see replay::SummarizeResponses). Shared through the global
-  /// registry, so engines built over a same-named ladder accumulate into
-  /// the same histogram — and a hot swap whose rung names match keeps
-  /// recording into the same series.
+  /// Bounded latency histogram of requests served by rung `i`: the
+  /// worker's time from pickup to answer, without the queue wait or
+  /// Submit's score-cache lookup, so it stays the rung cost the predictor
+  /// drift compares. Bounded: memory stays constant no matter how many
+  /// requests flow, which is what lets the engine run under production
+  /// load with recording always on. Drivers needing exact percentiles keep
+  /// their own response samples (see replay::SummarizeResponses). Owned by
+  /// this engine, one per rung index for its whole life (SwapModel keeps
+  /// the rung count), so a hot swap keeps recording into the same series
+  /// and no other engine ever adds to it.
   const obs::Histogram& rung_latency(size_t i) const {
-    return *CurrentState()->rung_latency[i];
+    return rung_latency_[i];
   }
   /// Time requests spent queued before a worker picked them up. Cache hits,
   /// answered in Submit, record nothing here.
-  const obs::Histogram& queue_wait() const { return *queue_wait_histogram_; }
-  /// End-to-end latency of cache-hit responses ("serve.cache_hit.total_us").
-  /// Kept out of the per-rung histograms so rung p99 gates keep measuring
-  /// actual scoring.
-  const obs::Histogram& cache_hit_latency() const {
-    return *cache_hit_histogram_;
-  }
+  const obs::Histogram& queue_wait() const { return queue_wait_; }
   /// Backoff sleeps taken before rung retries.
-  const obs::Histogram& retry_backoff() const { return *backoff_histogram_; }
+  const obs::Histogram& retry_backoff() const { return backoff_; }
 
   /// Current breaker state of rung `i`. An expired quarantine still reads
   /// kOpen until a request probes it.
@@ -239,12 +232,10 @@ class ServingEngine {
   void Stop() DNLR_EXCLUDES(queue_mu_);
 
  private:
-  /// One published model generation: the ladder plus everything resolved
-  /// from it that the worker hot path needs without extra lookups.
+  /// One published model generation: the ladder and its version.
   /// Immutable after publication — workers share it by shared_ptr.
   struct LadderState {
     std::shared_ptr<const DegradationLadder> ladder;
-    std::vector<obs::Histogram*> rung_latency;
     uint64_t version = 1;
   };
 
@@ -267,8 +258,6 @@ class ServingEngine {
     bool probe_in_flight = false;
   };
 
-  static std::shared_ptr<const LadderState> BuildState(
-      std::shared_ptr<const DegradationLadder> ladder, uint64_t version);
   std::shared_ptr<const LadderState> CurrentState() const
       DNLR_EXCLUDES(state_mu_) {
     // The lock orders this copy after the publishing store in SwapModel /
@@ -300,6 +289,10 @@ class ServingEngine {
   ServingConfig config_;
   Clock* clock_;
   ServeCounters counters_;
+  /// Indexed by rung; see rung_latency().
+  std::vector<obs::Histogram> rung_latency_;
+  obs::Histogram queue_wait_;
+  obs::Histogram backoff_;
 
   /// RCU publication point: workers copy the current generation once per
   /// request under state_mu_ (one uncontended lock; held only for the
@@ -308,10 +301,6 @@ class ServingEngine {
   std::shared_ptr<const LadderState> state_ DNLR_GUARDED_BY(state_mu_);
   /// Serializes writers (SwapModel callers) only; readers never take it.
   common::Mutex swap_mu_;
-
-  obs::Histogram* queue_wait_histogram_ = nullptr;
-  obs::Histogram* backoff_histogram_ = nullptr;
-  obs::Histogram* cache_hit_histogram_ = nullptr;
 
   mutable common::Mutex queue_mu_;
   common::CondVar queue_cv_;

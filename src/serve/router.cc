@@ -26,12 +26,6 @@ constexpr uint32_t kMaxProbesInFlight = 1;
 /// one request may try before its failure is returned to the caller.
 constexpr uint32_t kMaxFailoverHops = 2;
 
-// Relaxed increment: router counters are independent statistics, never a
-// synchronization point (see RouterCounters).
-void Bump(std::atomic<uint64_t>& counter) {
-  counter.fetch_add(1, std::memory_order_relaxed);
-}
-
 /// Failures the shard (not the caller) is responsible for: rung faults,
 /// shed load and blown deadlines count against shard health; an
 /// InvalidArgument request does not.
@@ -44,15 +38,6 @@ bool IsShardFault(const Status& status) {
     default:
       return false;
   }
-}
-
-/// Distinct registry namespace per router instance, so two routers in one
-/// process (or two tests in one binary) never fold their tenants' series
-/// together.
-uint32_t NextRouterInstance() {
-  static std::atomic<uint32_t> next{0};
-  // Relaxed: a unique-id ticket; no other data is published through it.
-  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -77,9 +62,7 @@ ShardedRouter::ShardedRouter(
     : config_(config),
       engine_config_(engine_config),
       clock_(clock),
-      ring_(kVirtualNodes),
-      metric_prefix_("router" + std::to_string(NextRouterInstance()) +
-                     ".tenant") {
+      ring_(kVirtualNodes) {
   DNLR_CHECK(clock_ != nullptr);
   DNLR_CHECK_GE(ladders.size(), 1u);
   DNLR_CHECK_GE(config_.health_window_micros, 1u);
@@ -129,13 +112,6 @@ ShardedRouter::Tenant& ShardedRouter::GetTenant(uint64_t id) {
     slot = std::make_unique<Tenant>();
     slot->bucket = std::make_shared<common::TokenBucket>(
         kDefaultQuota.tokens_per_second, kDefaultQuota.burst, clock_);
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    const std::string prefix = metric_prefix_ + std::to_string(id);
-    slot->requests = &registry.GetCounter(prefix + ".requests");
-    slot->ok = &registry.GetCounter(prefix + ".ok");
-    slot->errors = &registry.GetCounter(prefix + ".errors");
-    slot->quota_rejected = &registry.GetCounter(prefix + ".quota_rejected");
-    slot->latency = &registry.GetHistogram(prefix + ".latency_us");
   }
   return *slot;
 }
@@ -202,7 +178,7 @@ void ShardedRouter::AdvanceStateLocked(Shard& shard, uint64_t now) {
           HealthScoreLocked(shard) >= kQuarantineScore) {
         health.state = ShardState::kDraining;
         health.state_until = now + config_.drain_micros;
-        Bump(counters_.drains);
+        counters_.drains.Add();
       }
       break;
     }
@@ -210,7 +186,7 @@ void ShardedRouter::AdvanceStateLocked(Shard& shard, uint64_t now) {
       if (now >= health.state_until) {
         health.state = ShardState::kQuarantined;
         health.state_until = now + config_.quarantine_micros;
-        Bump(counters_.quarantines);
+        counters_.quarantines.Add();
       }
       break;
     case ShardState::kQuarantined:
@@ -233,7 +209,7 @@ int ShardedRouter::PickShard(const std::vector<uint32_t>& prefer,
     if (!shard.engine->accepting()) {
       // A stopped engine is shutdown, not saturation: skip it outright —
       // probing it would only manufacture shed_stopped rejections.
-      Bump(counters_.skipped_stopped);
+      counters_.skipped_stopped.Add();
       continue;
     }
     AdvanceStateLocked(shard, now);
@@ -247,7 +223,7 @@ int ShardedRouter::PickShard(const std::vector<uint32_t>& prefer,
         if (shard.health.probes_in_flight < kMaxProbesInFlight) {
           ++shard.health.probes_in_flight;
           *is_probe = true;
-          Bump(counters_.probes);
+          counters_.probes.Add();
           return static_cast<int>(h);
         }
         continue;
@@ -276,7 +252,7 @@ void ShardedRouter::RecordOutcome(size_t shard_index, bool failure,
         health.state = ShardState::kQuarantined;
         health.state_until = now + config_.quarantine_micros;
         health.probe_successes = 0;
-        Bump(counters_.quarantines);
+        counters_.quarantines.Add();
       } else if (++health.probe_successes >=
                  config_.probe_successes_to_readmit) {
         health.state = ShardState::kHealthy;
@@ -285,7 +261,7 @@ void ShardedRouter::RecordOutcome(size_t shard_index, bool failure,
         health.cur_ok = health.cur_fail = 0;
         health.prev_ok = health.prev_fail = 0;
         health.window_start = now;
-        Bump(counters_.readmissions);
+        counters_.readmissions.Add();
       }
     }
     return;
@@ -308,20 +284,20 @@ ShardedRouter::Response ShardedRouter::ScoreSync(uint64_t tenant,
                                                  uint32_t count,
                                                  uint32_t stride,
                                                  uint64_t budget_micros) {
-  Bump(counters_.requests);
+  counters_.requests.Add();
   Tenant& record = GetTenant(tenant);
-  record.requests->Add();
+  record.requests.Add();
 
   Response resp;
   if (!TenantBucket(record)->TryAcquire()) {
-    Bump(counters_.quota_rejected);
-    record.quota_rejected->Add();
+    counters_.quota_rejected.Add();
+    record.quota_rejected.Add();
     resp.serve.status = Status::ResourceExhausted(
         "tenant " + std::to_string(tenant) + " over admission quota");
     return resp;
   }
   resp.admitted = true;
-  Bump(counters_.admitted);
+  counters_.admitted.Add();
 
   const uint64_t start = clock_->NowMicros();
   const std::vector<uint32_t> prefer = ring_.PreferenceOrder(tenant);
@@ -350,16 +326,16 @@ ShardedRouter::Response ShardedRouter::ScoreSync(uint64_t tenant,
         }
       }
       if (hop < 0) {
-        Bump(counters_.no_shard_available);
-        record.errors->Add();
+        counters_.no_shard_available.Add();
+        record.errors.Add();
         resp.serve.status =
             Status::ResourceExhausted("no shard is accepting traffic");
         return resp;
       }
-      Bump(counters_.forced_primary);
+      counters_.forced_primary.Add();
     }
     const auto shard = static_cast<size_t>(prefer[static_cast<size_t>(hop)]);
-    if (hop > 0 && next_hop == 0 && !forced) Bump(counters_.failover_picks);
+    if (hop > 0 && next_hop == 0 && !forced) counters_.failover_picks.Add();
 
     ServeResponse serve = shards_[shard].engine->Submit(request).get();
     const bool shard_fault = !serve.status.ok() && IsShardFault(serve.status);
@@ -372,7 +348,7 @@ ShardedRouter::Response ShardedRouter::ScoreSync(uint64_t tenant,
     if (!serve.status.ok() && can_retry) {
       ++fail_hops;
       next_hop = static_cast<size_t>(hop) + 1;
-      Bump(counters_.failover_retries);
+      counters_.failover_retries.Add();
       continue;
     }
 
@@ -380,10 +356,10 @@ ShardedRouter::Response ShardedRouter::ScoreSync(uint64_t tenant,
     resp.shard = static_cast<int>(shard);
     resp.failover = prefer[static_cast<size_t>(hop)] != prefer[0];
     if (resp.serve.status.ok()) {
-      record.ok->Add();
-      record.latency->Record(static_cast<double>(clock_->NowMicros() - start));
+      record.ok.Add();
+      record.latency.Record(static_cast<double>(clock_->NowMicros() - start));
     } else {
-      record.errors->Add();
+      record.errors.Add();
     }
     return resp;
   }
@@ -392,12 +368,12 @@ ShardedRouter::Response ShardedRouter::ScoreSync(uint64_t tenant,
 TenantSlo ShardedRouter::TenantSloSnapshot(uint64_t tenant) {
   Tenant& record = GetTenant(tenant);
   TenantSlo slo;
-  slo.requests = record.requests->Value();
-  slo.ok = record.ok->Value();
-  slo.errors = record.errors->Value();
-  slo.quota_rejected = record.quota_rejected->Value();
-  slo.p50_us = record.latency->ApproxPercentileMicros(50);
-  slo.p99_us = record.latency->ApproxPercentileMicros(99);
+  slo.requests = record.requests.Value();
+  slo.ok = record.ok.Value();
+  slo.errors = record.errors.Value();
+  slo.quota_rejected = record.quota_rejected.Value();
+  slo.p50_us = record.latency.ApproxPercentileMicros(50);
+  slo.p99_us = record.latency.ApproxPercentileMicros(99);
   const uint64_t admitted = slo.requests - slo.quota_rejected;
   slo.error_rate = admitted == 0 ? 0.0
                                  : static_cast<double>(slo.errors) /

@@ -1,11 +1,9 @@
 #ifndef DNLR_SERVE_ROUTER_H_
 #define DNLR_SERVE_ROUTER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/clock.h"
@@ -82,7 +80,7 @@ struct RouterCountersSnapshot {
   uint64_t readmissions = 0;
 };
 
-/// Lock-free counters (relaxed throughout: independent statistics, never a
+/// The router's own counters (obs::Counter: independent statistics, never a
 /// synchronization point — same contract as ServeCounters).
 class RouterCounters {
  public:
@@ -91,42 +89,39 @@ class RouterCounters {
   RouterCounters& operator=(const RouterCounters&) = delete;
 
   RouterCountersSnapshot Snapshot() const {
-    // Relaxed loads: per-counter (not cross-counter) consistency, as in
+    // Per-counter (not cross-counter) consistency, as in
     // ServeCounters::Snapshot.
-    const auto read = [](const std::atomic<uint64_t>& c) {
-      return c.load(std::memory_order_relaxed);
-    };
     RouterCountersSnapshot snap;
-    snap.requests = read(requests);
-    snap.admitted = read(admitted);
-    snap.quota_rejected = read(quota_rejected);
-    snap.failover_picks = read(failover_picks);
-    snap.failover_retries = read(failover_retries);
-    snap.forced_primary = read(forced_primary);
-    snap.no_shard_available = read(no_shard_available);
-    snap.skipped_stopped = read(skipped_stopped);
-    snap.drains = read(drains);
-    snap.quarantines = read(quarantines);
-    snap.probes = read(probes);
-    snap.readmissions = read(readmissions);
+    snap.requests = requests.Value();
+    snap.admitted = admitted.Value();
+    snap.quota_rejected = quota_rejected.Value();
+    snap.failover_picks = failover_picks.Value();
+    snap.failover_retries = failover_retries.Value();
+    snap.forced_primary = forced_primary.Value();
+    snap.no_shard_available = no_shard_available.Value();
+    snap.skipped_stopped = skipped_stopped.Value();
+    snap.drains = drains.Value();
+    snap.quarantines = quarantines.Value();
+    snap.probes = probes.Value();
+    snap.readmissions = readmissions.Value();
     return snap;
   }
 
-  std::atomic<uint64_t> requests{0};
-  std::atomic<uint64_t> admitted{0};
-  std::atomic<uint64_t> quota_rejected{0};
-  std::atomic<uint64_t> failover_picks{0};
-  std::atomic<uint64_t> failover_retries{0};
-  std::atomic<uint64_t> forced_primary{0};
-  std::atomic<uint64_t> no_shard_available{0};
-  std::atomic<uint64_t> skipped_stopped{0};
-  std::atomic<uint64_t> drains{0};
-  std::atomic<uint64_t> quarantines{0};
-  std::atomic<uint64_t> probes{0};
-  std::atomic<uint64_t> readmissions{0};
+  obs::Counter requests;
+  obs::Counter admitted;
+  obs::Counter quota_rejected;
+  obs::Counter failover_picks;
+  obs::Counter failover_retries;
+  obs::Counter forced_primary;
+  obs::Counter no_shard_available;
+  obs::Counter skipped_stopped;
+  obs::Counter drains;
+  obs::Counter quarantines;
+  obs::Counter probes;
+  obs::Counter readmissions;
 };
 
-/// Per-tenant SLO rollup assembled from the tenant's registry metrics.
+/// Per-tenant SLO rollup assembled from the tenant's own counters.
 struct TenantSlo {
   uint64_t requests = 0;
   uint64_t ok = 0;
@@ -163,8 +158,8 @@ struct TenantSlo {
 ///
 /// Each shard may pin its own model generation via SwapModelOnShard (the
 /// engine's RCU hot swap), which is how per-tenant model generations are
-/// served in isolation. Per-tenant counters and latency histograms flow
-/// through obs::MetricsRegistry under "router.tenant<id>.*".
+/// served in isolation. Per-tenant counters and latency histograms live in
+/// this router's tenant records (TenantSloSnapshot) and die with it.
 ///
 /// Thread-safe: ScoreSync may be called from any number of tenant threads.
 class ShardedRouter {
@@ -230,7 +225,7 @@ class ShardedRouter {
 
   const RouterCounters& counters() const { return counters_; }
 
-  /// SLO rollup for one tenant, assembled from its registry metrics.
+  /// SLO rollup for one tenant, assembled from its counters.
   TenantSlo TenantSloSnapshot(uint64_t tenant) DNLR_EXCLUDES(tenant_mu_);
 
   /// Stops every shard engine (idempotent; also run by the destructor).
@@ -259,8 +254,8 @@ class ShardedRouter {
   };
 
   /// Per-tenant admission + metrics record; stable address (unique_ptr in
-  /// the map) so the hot path can use it outside tenant_mu_. The metric
-  /// pointers are immutable after creation; the bucket is read via a
+  /// the map) so the hot path can use it outside tenant_mu_. The counters
+  /// and histogram are safe from any thread; the bucket is read via a
   /// shared_ptr snapshot (see TenantBucket) so SetTenantQuota can replace
   /// it while requests are in flight.
   struct Tenant {
@@ -268,11 +263,11 @@ class ShardedRouter {
     /// structs cannot name the outer mutex in an annotation, so the guard
     /// is by convention: every read goes through TenantBucket.
     std::shared_ptr<common::TokenBucket> bucket;
-    obs::Counter* requests = nullptr;
-    obs::Counter* ok = nullptr;
-    obs::Counter* errors = nullptr;
-    obs::Counter* quota_rejected = nullptr;
-    obs::Histogram* latency = nullptr;
+    obs::Counter requests;
+    obs::Counter ok;
+    obs::Counter errors;
+    obs::Counter quota_rejected;
+    obs::Histogram latency;
   };
 
   Tenant& GetTenant(uint64_t id) DNLR_EXCLUDES(tenant_mu_);
@@ -305,9 +300,6 @@ class ShardedRouter {
   ServingConfig engine_config_;
   Clock* clock_;
   common::HashRing ring_;
-  /// Registry namespace of this instance's tenant metrics
-  /// ("router<instance>.tenant").
-  std::string metric_prefix_;
   std::vector<Shard> shards_;
   RouterCounters counters_;
 

@@ -16,13 +16,6 @@ ScoreCache::ScoreCache(const ScoreCacheConfig& config) {
   for (size_t s = 0; s < num_shards; ++s) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  hits_metric_ = &registry.GetCounter(config.metric_prefix + ".hits");
-  misses_metric_ = &registry.GetCounter(config.metric_prefix + ".misses");
-  evictions_metric_ =
-      &registry.GetCounter(config.metric_prefix + ".evictions");
-  stale_rejects_metric_ =
-      &registry.GetCounter(config.metric_prefix + ".stale_rejects");
 }
 
 uint64_t ScoreCache::Fingerprint(const float* docs, uint32_t count,
@@ -43,7 +36,6 @@ bool ScoreCache::Lookup(uint64_t fingerprint, uint64_t version,
   const auto it = shard.index.find(fingerprint);
   if (it == shard.index.end()) {
     miss_count_.Add();
-    misses_metric_->Add();
     return false;
   }
   Node& node = *it->second;
@@ -54,9 +46,7 @@ bool ScoreCache::Lookup(uint64_t fingerprint, uint64_t version,
     shard.lru.erase(it->second);
     shard.index.erase(it);
     stale_count_.Add();
-    stale_rejects_metric_->Add();
     miss_count_.Add();
-    misses_metric_->Add();
     return false;
   }
   if (node.count != count) {
@@ -65,7 +55,6 @@ bool ScoreCache::Lookup(uint64_t fingerprint, uint64_t version,
     shard.lru.erase(it->second);
     shard.index.erase(it);
     miss_count_.Add();
-    misses_metric_->Add();
     return false;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
@@ -73,7 +62,6 @@ bool ScoreCache::Lookup(uint64_t fingerprint, uint64_t version,
   out->rung = node.rung;
   out->degraded = node.degraded;
   hit_count_.Add();
-  hits_metric_->Add();
   return true;
 }
 
@@ -100,7 +88,6 @@ void ScoreCache::Insert(uint64_t fingerprint, uint64_t version,
     shard.index.erase(shard.lru.back().fingerprint);
     shard.lru.pop_back();
     eviction_count_.Add();
-    evictions_metric_->Add();
   }
   Node node;
   node.fingerprint = fingerprint;

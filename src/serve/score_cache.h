@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -14,6 +13,9 @@
 
 namespace dnlr::serve {
 
+/// Sizing of one ScoreCache. Each instance counts into its own tallies
+/// (Stats()) and registers nothing process-wide, so two caches never fold
+/// their counts together.
 struct ScoreCacheConfig {
   /// Total entry bound across all shards; >= 1. Split evenly per shard
   /// (rounded up), each shard evicting its own LRU tail.
@@ -21,14 +23,10 @@ struct ScoreCacheConfig {
   /// Lock shards; clamped to [1, capacity]. Requests hash to a shard by
   /// fingerprint, so hot queries spread across locks.
   size_t num_shards = 8;
-  /// Registry namespace for the obs counters ("<prefix>.hits", ".misses",
-  /// ".evictions", ".stale_rejects"). Registry counters are shared by name
-  /// process-wide; give each logically distinct cache its own prefix.
-  std::string metric_prefix = "serve.score_cache";
 };
 
-/// Point-in-time statistics (per cache instance, unlike the registry
-/// counters, which aggregate across same-prefix instances).
+/// Point-in-time statistics of one cache instance, counted by that
+/// instance alone.
 struct ScoreCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -128,14 +126,9 @@ class ScoreCache {
   size_t per_shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Per-instance tallies (the Stats source) and registry mirrors (the obs
-  // export). obs::Counter is internally relaxed-atomic; safe from any
-  // thread.
+  // The tallies Stats() reads. obs::Counter is internally relaxed-atomic;
+  // safe from any thread.
   obs::Counter hit_count_, miss_count_, eviction_count_, stale_count_;
-  obs::Counter* hits_metric_;
-  obs::Counter* misses_metric_;
-  obs::Counter* evictions_metric_;
-  obs::Counter* stale_rejects_metric_;
 };
 
 }  // namespace dnlr::serve

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -12,8 +13,10 @@
 #include "common/hash_ring.h"
 #include "common/rng.h"
 #include "common/token_bucket.h"
+#include "obs/metrics.h"
 #include "serve/ladder.h"
 #include "serve/router.h"
+#include "serve/score_cache.h"
 #include "serve/scorer.h"
 
 namespace dnlr::serve {
@@ -431,6 +434,43 @@ TEST(ShardedRouterTest, SwappedGenerationIsRevalidatedByProbesNotTrusted) {
   }
   EXPECT_EQ(fix.router->shard_state(0), ShardState::kHealthy);
   EXPECT_GE(fix.router->counters().Snapshot().readmissions, 1u);
+}
+
+/// Every metric name in the process-wide registry, read from its export.
+std::set<std::string> RegisteredMetricNames() {
+  const std::string json = obs::MetricsRegistry::Global().ToJson();
+  const std::string key = "\"name\": \"";
+  std::set<std::string> names;
+  for (size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at)) {
+    at += key.size();
+    const size_t end = json.find('"', at);
+    names.insert(json.substr(at, end - at));
+    at = end;
+  }
+  return names;
+}
+
+/// Serving statistics belong to the router, its engines and the cache that
+/// count them: building and serving through them adds no name to the
+/// process-wide registry, which keeps only the scoring spans.
+TEST(ShardedRouterTest, ServingRegistersNoProcessWideMetric) {
+  const std::set<std::string> before = RegisteredMetricNames();
+  {
+    ScoreCache cache;
+    ServingConfig engine_config = RouterFixture::MakeEngineConfig();
+    engine_config.score_cache = &cache;
+    RouterFixture fix(2, FastLifecycleConfig(), engine_config);
+    for (uint64_t tenant = 0; tenant < 4; ++tenant) {
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        const auto resp = fix.Score(tenant);
+        ASSERT_TRUE(resp.serve.status.ok()) << resp.serve.status.ToString();
+      }
+      EXPECT_EQ(fix.router->TenantSloSnapshot(tenant).ok, 2u);
+    }
+    EXPECT_GT(cache.Stats().hits, 0u);
+  }
+  EXPECT_EQ(RegisteredMetricNames(), before);
 }
 
 /// The acceptance scenario, in-process and multi-threaded: tenants hammer a

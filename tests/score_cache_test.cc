@@ -190,8 +190,7 @@ TEST(ScoreCacheTest, FingerprintSeesEveryBitOfAStripeAndItsTails) {
 }
 
 TEST(ScoreCacheTest, LookupInsertAndStats) {
-  ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 2,
-                                    .metric_prefix = "test.cache.basic"});
+  ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 2});
   const std::vector<float> scores = {1.0f, 2.0f, 3.0f};
   ScoreCache::Entry entry;
   EXPECT_FALSE(cache.Lookup(42, 1, 3, &entry));
@@ -209,8 +208,7 @@ TEST(ScoreCacheTest, LookupInsertAndStats) {
 }
 
 TEST(ScoreCacheTest, StaleGenerationIsRejectedAndDropped) {
-  ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 1,
-                                    .metric_prefix = "test.cache.stale"});
+  ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 1});
   const std::vector<float> scores = {5.0f};
   cache.Insert(7, /*version=*/1, scores.data(), 1, 0, false);
 
@@ -231,8 +229,7 @@ TEST(ScoreCacheTest, StaleGenerationIsRejectedAndDropped) {
 }
 
 TEST(ScoreCacheTest, CountMismatchIsACollisionGuard) {
-  ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 1,
-                                    .metric_prefix = "test.cache.collide"});
+  ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 1});
   const std::vector<float> scores = {1.0f, 2.0f};
   cache.Insert(9, 1, scores.data(), 2, 0, false);
   ScoreCache::Entry entry;
@@ -245,8 +242,7 @@ TEST(ScoreCacheTest, CountMismatchIsACollisionGuard) {
 
 TEST(ScoreCacheTest, LruBoundHoldsUnderZipfianLoad) {
   constexpr size_t kCapacity = 64;
-  ScoreCache cache(ScoreCacheConfig{.capacity = kCapacity, .num_shards = 4,
-                                    .metric_prefix = "test.cache.lru"});
+  ScoreCache cache(ScoreCacheConfig{.capacity = kCapacity, .num_shards = 4});
   const replay::ZipfSampler zipf(512, 1.1);
   Rng rng(21);
   const std::vector<float> scores = {1.0f};
@@ -267,8 +263,7 @@ TEST(ScoreCacheTest, LruBoundHoldsUnderZipfianLoad) {
 }
 
 TEST(ScoreCacheTest, ClearDropsEntriesButKeepsStats) {
-  ScoreCache cache(ScoreCacheConfig{.capacity = 8, .num_shards = 2,
-                                    .metric_prefix = "test.cache.clear"});
+  ScoreCache cache(ScoreCacheConfig{.capacity = 8, .num_shards = 2});
   const std::vector<float> scores = {1.0f};
   cache.Insert(1, 1, scores.data(), 1, 0, false);
   cache.Insert(2, 1, scores.data(), 1, 0, false);
@@ -282,8 +277,7 @@ TEST(ScoreCacheTest, ClearDropsEntriesButKeepsStats) {
 
 TEST(ScoreCacheTest, EngineHitSkipsTheScorerBitwise) {
   const LadderHandle handle = MakeCountingLadder(1.0f);
-  ScoreCache cache(ScoreCacheConfig{.capacity = 64, .num_shards = 2,
-                                    .metric_prefix = "test.cache.engine"});
+  ScoreCache cache(ScoreCacheConfig{.capacity = 64, .num_shards = 2});
   ServingConfig config;
   config.num_workers = 2;
   config.score_cache = &cache;
@@ -311,8 +305,7 @@ TEST(ScoreCacheTest, EngineHitSkipsTheScorerBitwise) {
 TEST(ScoreCacheTest, SwapModelInvalidatesThroughGenerationStamping) {
   const LadderHandle v1 = MakeCountingLadder(1.0f);
   const LadderHandle v2 = MakeCountingLadder(2.0f);
-  ScoreCache cache(ScoreCacheConfig{.capacity = 64, .num_shards = 2,
-                                    .metric_prefix = "test.cache.swap"});
+  ScoreCache cache(ScoreCacheConfig{.capacity = 64, .num_shards = 2});
   ServingConfig config;
   config.num_workers = 2;
   config.score_cache = &cache;
@@ -350,8 +343,7 @@ TEST(ScoreCacheTest, SwapModelInvalidatesThroughGenerationStamping) {
 TEST(ScoreCacheTest, CacheOnAndOffServeBitwiseIdenticalScores) {
   const LadderHandle cached_handle = MakeCountingLadder(3.0f);
   const LadderHandle plain_handle = MakeCountingLadder(3.0f);
-  ScoreCache cache(ScoreCacheConfig{.capacity = 128, .num_shards = 4,
-                                    .metric_prefix = "test.cache.parity"});
+  ScoreCache cache(ScoreCacheConfig{.capacity = 128, .num_shards = 4});
   ServingConfig with_cache;
   with_cache.num_workers = 2;
   with_cache.score_cache = &cache;
@@ -384,8 +376,7 @@ TEST(ScoreCacheTest, HitIsAnsweredInSubmitWhileTheWorkerIsBlocked) {
   GateScorer gate;
   DegradationLadder ladder;
   ASSERT_TRUE(ladder.AddRung("gate", &gate, 1.0).ok());
-  ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 1,
-                                    .metric_prefix = "test.cache.inline"});
+  ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 1});
   ServingConfig config;
   config.num_workers = 1;
   config.queue_capacity = 1;
@@ -436,8 +427,7 @@ TEST(ScoreCacheTest, HitIsAnsweredInSubmitWhileTheWorkerIsBlocked) {
 
 TEST(ScoreCacheTest, StoppedEngineShedsAWouldBeHit) {
   const LadderHandle handle = MakeCountingLadder(1.0f);
-  ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 1,
-                                    .metric_prefix = "test.cache.stopped"});
+  ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 1});
   ServingConfig config;
   config.num_workers = 1;
   config.score_cache = &cache;
@@ -459,8 +449,7 @@ TEST(ScoreCacheTest, StoppedEngineShedsAWouldBeHit) {
 
 TEST(ScoreCacheTest, ExpiredDeadlineShedsAWouldBeHit) {
   const LadderHandle handle = MakeCountingLadder(1.0f);
-  ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 1,
-                                    .metric_prefix = "test.cache.expired"});
+  ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 1});
   ServingConfig config;
   config.num_workers = 1;
   config.score_cache = &cache;
@@ -482,8 +471,7 @@ TEST(ScoreCacheTest, ExpiredDeadlineShedsAWouldBeHit) {
 
 TEST(ScoreCacheTest, MissCountsExactlyOneLookup) {
   const LadderHandle handle = MakeCountingLadder(1.0f);
-  ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 1,
-                                    .metric_prefix = "test.cache.onelookup"});
+  ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 1});
   ServingConfig config;
   config.num_workers = 1;
   config.score_cache = &cache;
@@ -523,8 +511,7 @@ TEST(ScoreCacheTest, ConcurrentSubmitsStayBitwiseAcrossSwaps) {
                       .ok());
     }
   }
-  ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 2,
-                                    .metric_prefix = "test.cache.swaprace"});
+  ScoreCache cache(ScoreCacheConfig{.capacity = 16, .num_shards = 2});
   ServingConfig config;
   config.num_workers = 2;
   config.queue_capacity = 256;
@@ -582,8 +569,7 @@ TEST(ScoreCacheTest, ConcurrentSubmitsStayBitwiseAcrossSwaps) {
 }
 
 TEST(ScoreCacheTest, ConcurrentLookupInsertSmoke) {
-  ScoreCache cache(ScoreCacheConfig{.capacity = 32, .num_shards = 4,
-                                    .metric_prefix = "test.cache.threads"});
+  ScoreCache cache(ScoreCacheConfig{.capacity = 32, .num_shards = 4});
   constexpr int kThreads = 4;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);

@@ -677,9 +677,8 @@ TEST(LatencyTest, PercentileDuplicatesAndUnsortedInput) {
 
 // ---------------------------------------------------------------------------
 // Bounded latency histograms: the engine's replacement for the unbounded
-// per-rung sample store. Histograms live in the global metrics registry
-// (shared by every engine whose ladder uses the same rung names), so all
-// assertions are on deltas.
+// per-rung sample store. Each engine owns its histograms, so the counts
+// below are absolute.
 
 TEST(ServingEngineTest, BoundedHistogramsRecordServedRequests) {
   const std::vector<float> docs = MakeDocs();
@@ -693,9 +692,6 @@ TEST(ServingEngineTest, BoundedHistogramsRecordServedRequests) {
   ASSERT_TRUE(ladder.AddRung("histo-floor", &floor, 1.0).ok());
   ServingEngine engine(&ladder, OneWorkerConfig(), &clock);
 
-  const uint64_t strong_before = engine.rung_latency(0).Count();
-  const uint64_t floor_before = engine.rung_latency(1).Count();
-  const uint64_t queue_before = engine.queue_wait().Count();
   constexpr int kRequests = 5;
   for (int i = 0; i < kRequests; ++i) {
     const ServeResponse resp =
@@ -704,10 +700,44 @@ TEST(ServingEngineTest, BoundedHistogramsRecordServedRequests) {
     EXPECT_EQ(resp.rung, 0);
   }
 
-  EXPECT_EQ(engine.rung_latency(0).Count(), strong_before + kRequests);
-  EXPECT_EQ(engine.rung_latency(1).Count(), floor_before);
+  EXPECT_EQ(engine.rung_latency(0).Count(), uint64_t{kRequests});
+  EXPECT_EQ(engine.rung_latency(1).Count(), 0u);
   // Every processed request records its queue wait, served or not.
-  EXPECT_EQ(engine.queue_wait().Count(), queue_before + kRequests);
+  EXPECT_EQ(engine.queue_wait().Count(), uint64_t{kRequests});
+}
+
+TEST(ServingEngineTest, SameNamedLaddersKeepSeparateHistograms) {
+  const std::vector<float> docs = MakeDocs();
+  FakeClock clock;
+  ConstantScorer strong_inner(2.0f);
+  ConstantScorer floor_inner(1.0f);
+  InfallibleScorerAdapter strong(&strong_inner);
+  InfallibleScorerAdapter floor(&floor_inner);
+  // Two ladders with the same rung names, as two shards of one fleet have.
+  DegradationLadder first;
+  DegradationLadder second;
+  for (DegradationLadder* ladder : {&first, &second}) {
+    ASSERT_TRUE(ladder->AddRung("shared-strong", &strong, 10.0).ok());
+    ASSERT_TRUE(ladder->AddRung("shared-floor", &floor, 1.0).ok());
+  }
+  ServingEngine a(&first, OneWorkerConfig(), &clock);
+  ServingEngine b(&second, OneWorkerConfig(), &clock);
+
+  constexpr uint64_t kOnA = 3;
+  constexpr uint64_t kOnB = 5;
+  for (uint64_t i = 0; i < kOnA; ++i) {
+    ASSERT_TRUE(
+        a.ScoreSync(docs.data(), kDocs, kStride, 1'000'000).status.ok());
+  }
+  for (uint64_t i = 0; i < kOnB; ++i) {
+    ASSERT_TRUE(
+        b.ScoreSync(docs.data(), kDocs, kStride, 1'000'000).status.ok());
+  }
+
+  EXPECT_EQ(a.rung_latency(0).Count(), kOnA);
+  EXPECT_EQ(b.rung_latency(0).Count(), kOnB);
+  EXPECT_EQ(a.queue_wait().Count(), kOnA);
+  EXPECT_EQ(b.queue_wait().Count(), kOnB);
 }
 
 TEST(ServingEngineTest, RetryBackoffIsRecorded) {
@@ -721,12 +751,11 @@ TEST(ServingEngineTest, RetryBackoffIsRecorded) {
   FakeClock clock;
   ServingEngine engine(&ladder, OneWorkerConfig(), &clock);
 
-  const uint64_t sleeps_before = engine.retry_backoff().Count();
   const ServeResponse resp =
       engine.ScoreSync(docs.data(), kDocs, kStride, 1'000'000);
   ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
   EXPECT_GE(resp.retries, 1u);
-  EXPECT_EQ(engine.retry_backoff().Count(), sleeps_before + resp.retries);
+  EXPECT_EQ(engine.retry_backoff().Count(), uint64_t{resp.retries});
   EXPECT_GT(engine.retry_backoff().MaxMicros(), 0.0);
 }
 
